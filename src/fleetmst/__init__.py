@@ -10,12 +10,10 @@ from .baselines import DisjointSet, brute_force, kruskal, prim, verify_spanning_
 from .engine import (
     Forest,
     MstResult,
-    cluster_mvc,
     inheritance_chase,
     merge_round,
     node_stage,
     run,
-    snip,
 )
 from .fleet import (
     FleetModel,
@@ -52,7 +50,6 @@ __all__ = [
     "brute_force",
     "build_fleet",
     "build_graph",
-    "cluster_mvc",
     "complete",
     "compute_mvc",
     "cycle",
@@ -70,7 +67,6 @@ __all__ = [
     "random_gnm",
     "read_graph",
     "run",
-    "snip",
     "total_weight",
     "trace_chain",
     "united_subgraph",

@@ -64,9 +64,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _run_algo(g, algo: str, melioration: bool = True):
+def _run_algo(g, algo: str):
     if algo in ENGINE_ALGOS:
-        return engine.run(g, mode=algo, melioration=melioration)
+        return engine.run(g, mode=algo)
     if algo == "kruskal":
         return baselines.kruskal(g)
     if algo == "prim":
@@ -98,7 +98,7 @@ def cmd_build(args) -> int:
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = _run_algo(g, args.algo, melioration=not args.no_snip)
+    result = _run_algo(g, args.algo)
     engine.write_tree(result, g.n, args.out)
     if args.stats:
         _write_stats(result, g, args.stats)
@@ -190,6 +190,7 @@ def cmd_bench(args) -> int:
     algos = [a.strip() for a in args.algos.split(",")]
     q = _parse_q(args.q)
     rows = []
+    failed = 0
     for size in sizes:
         if args.family in ("lattice", "lattice8"):
             spec = generators.GenSpec("lattice8", {"p": size}, q, args.seed)
@@ -208,11 +209,15 @@ def cmd_bench(args) -> int:
                 row = {col: "" for col in CSV_HEADER}
                 row.update(spec=spec.token(), algo=algo, total_weight="FAILED")
                 rows.append(row)
+                failed += 1
     with open(args.csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.csv}")
+    if failed:
+        print(f"error: {failed} of {len(rows)} rows failed", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -237,7 +242,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=ALL_ALGOS, default="ooag")
     p.add_argument("--out", required=True, help="tree output file")
     p.add_argument("--stats", help="flat key/value stats file")
-    p.add_argument("--no-snip", action="store_true", help="disable the scan-set melioration")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="check a tree file against its graph")

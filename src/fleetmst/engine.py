@@ -2,10 +2,20 @@
 
 The node stage reaps clusters out of the fleet model (beam-seeded, or
 via the inheritance chase, or kernel-seeded).  The cluster stage then
-merges clusters Boruvka-style: each round every live cluster nominates
-its minimum outgoing bridge, bridges are applied under a cycle guard,
-and membership tables are rebuilt with fresh ids.  The snip melioration
-only shrinks the scan set of later rounds; it never changes choices.
+merges clusters Boruvka-style over one contracting edge list: the first
+round lists every edge once, sorted by (weight, smaller endpoint, larger
+endpoint); each round every live cluster hooks onto its lowest-ranked
+crossing edge, the hooks are flattened into fresh cluster ids, and the
+edges now inside a cluster are dropped for good.  Dropping them (the
+melioration) only shrinks what later rounds examine; it never changes
+a choice.
+
+``perfbench/tracing.py`` re-drives ``run`` step by step, so these names
+keep their meaning: ``merge_round(g, forest)``; ``Forest.cluster_count``,
+``done`` (ids of clusters with no crossing edge), ``cluster_of`` (the
+current id of each node), ``picked``, ``picked_edges()``, ``rounds``,
+``comparisons``, ``per_round`` and the settable ``melioration``, read
+when each round runs.
 """
 
 from __future__ import annotations
@@ -20,7 +30,6 @@ import numpy as np
 from .errors import (
     AlreadyClaimed,
     InconsistentModel,
-    IsolatedNode,
     NoProgress,
 )
 from .fleet import FleetModel, build_fleet
@@ -53,24 +62,31 @@ class MstResult:
 class Forest:
     """Mutable cluster bookkeeping during one engine execution.
 
+    Live cluster ids are always the dense range [base, counter).  The
+    node stage writes ``cluster_list`` in place and then calls
+    ``invalidate``; the merge rounds assign ``cluster_of`` and keep
+    their contracting edge list here.
     Confined to a single execution context; not thread safe.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        n = graph.n
-        self.cluster_list: list[int] = [-1] * n  # fast path during node stage
+        self._cluster_list: Optional[list[int]] = [-1] * graph.n
         self._cluster_np: Optional[np.ndarray] = None
+        self.base = 0
         self.counter = 0
         self.rounds = 0
         self.picked: list[tuple[int, int, int]] = []  # (u, v, scaled w), u < v
         self.done: set[int] = set()
-        self.peripheral = np.ones(n, dtype=bool)
         self.melioration = True
         self.comparisons = 0
         self.node_arc_touches = 0
-        self.delta_history: list[int] = []
         self.per_round: list[RoundStats] = []
+        # Merge-stage edge list, sorted by (w, a, b): endpoints (2, L)
+        # with a < b, scaled weights, and current cluster ids (2, L).
+        self.edge_ends: Optional[np.ndarray] = None
+        self.edge_w: Optional[np.ndarray] = None
+        self.edge_labels: Optional[np.ndarray] = None
 
     # -- cluster ids -----------------------------------------------------
 
@@ -80,46 +96,32 @@ class Forest:
         return cid
 
     @property
+    def cluster_list(self) -> list[int]:
+        if self._cluster_list is None:
+            self._cluster_list = self._cluster_np.tolist()
+        return self._cluster_list
+
+    @property
     def cluster_of(self) -> np.ndarray:
         if self._cluster_np is None:
-            self._cluster_np = np.array(self.cluster_list, dtype=np.int64)
+            self._cluster_np = np.array(self._cluster_list, dtype=np.int64)
         return self._cluster_np
 
-    def _set_cluster_of(self, arr: np.ndarray) -> None:
+    @cluster_of.setter
+    def cluster_of(self, arr: np.ndarray) -> None:
         self._cluster_np = arr
-        self.cluster_list = arr.tolist()
-
-    def cluster_ids(self) -> np.ndarray:
-        return np.unique(self.cluster_of)
+        self._cluster_list = None
 
     @property
     def cluster_count(self) -> int:
-        return int(self.cluster_ids().size)
-
-    def membership(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, node array C, offsets C*): nodes grouped by cluster id."""
-        cl = self.cluster_of
-        order = np.argsort(cl, kind="stable")
-        ids, counts = np.unique(cl, return_counts=True)
-        offsets = np.zeros(ids.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return ids, order, offsets
-
-    def members_of(self, cid: int) -> list[int]:
-        return np.nonzero(self.cluster_of == cid)[0].tolist()
-
-    def picked_adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for u, v, w in self.picked:
-            adj.setdefault(u, []).append((v, w))
-            adj.setdefault(v, []).append((u, w))
-        return adj
+        return self.counter - self.base
 
     def picked_edges(self) -> list[tuple[int, int, Weight]]:
         g = self.graph
         return sorted((u, v, g.unscale(w)) for u, v, w in self.picked)
 
     def invalidate(self) -> None:
+        """Call after writing ``cluster_list`` directly."""
         self._cluster_np = None
 
 
@@ -264,123 +266,89 @@ def inheritance_stage(g: Graph, f: FleetModel, forest: Optional[Forest] = None) 
 # ---------------------------------------------------------------------------
 
 
-def cluster_mvc(
-    g: Graph, forest: Forest
-) -> dict[int, tuple[int, int, int]]:
-    """Minimum outgoing bridge per cluster, as cid -> (scaled w, a, b)
-    with (a, b) the bridge endpoints, a < b.  Ties break on
-    (weight, smaller endpoint, larger endpoint).  Clusters without any
-    outgoing bridge are marked Done.  Increments the comparison counter
-    by the number of arcs scanned and, when melioration is on, shrinks
-    the peripheral scan set."""
-    cl = forest.cluster_of
+def _build_edge_list(g: Graph, forest: Forest) -> None:
+    """Every edge once as (a, b) with a < b, sorted by (w, a, b).  Arcs
+    are stored in (src, dst) order, so a stable sort on w suffices."""
     src = g.arc_sources()
-    leaves = g.leaves
-    weights = g.weights
-
-    if forest.melioration:
-        mask = forest.peripheral[src]
-    else:
-        mask = np.ones(src.size, dtype=bool)
-    scanned = int(mask.sum())
-    forest.comparisons += scanned
-    forest.delta_history.append(scanned)
-
-    cross = mask & (cl[src] != cl[leaves])
-    if forest.melioration:
-        # A scanned node stays peripheral only while it still has an
-        # arc leaving its cluster; interior nodes never come back.
-        forest.peripheral = np.bincount(src[cross], minlength=g.n) > 0
-
-    idx = np.nonzero(cross)[0]
-    live = forest.cluster_ids()
-    if idx.size == 0:
-        forest.done.update(int(c) for c in live)
-        return {}
-    u = src[idx]
-    v = leaves[idx]
-    w = weights[idx]
-    a = np.minimum(u, v)
-    b = np.maximum(u, v)
-    c = cl[u]
-    order = np.lexsort((b, a, w, c))
-    c_sorted = c[order]
-    firsts = np.unique(c_sorted, return_index=True)[1]
-    bridges = {
-        int(c_sorted[i]): (
-            int(w[order[i]]),
-            int(a[order[i]]),
-            int(b[order[i]]),
-        )
-        for i in firsts
-    }
-    forest.done.update(int(cid) for cid in live if int(cid) not in bridges)
-    return bridges
+    keep = src < g.leaves
+    ends = np.stack((src[keep], g.leaves[keep]))
+    w = g.weights[keep]
+    order = np.argsort(w, kind="stable")
+    forest.edge_ends = ends[:, order]
+    forest.edge_w = w[order]
+    forest.edge_labels = forest.cluster_of[forest.edge_ends]
 
 
 def merge_round(g: Graph, forest: Forest) -> Forest:
-    """One Boruvka-style round: apply every cluster's minimum bridge
-    under the id cycle guard, then rebuild memberships with fresh ids."""
+    """One Boruvka round over the contracting edge list.
+
+    Every cluster hooks onto the other end of its lowest-ranked crossing
+    edge; ranks follow (w, a, b), so ties break on the smaller, then the
+    larger endpoint.  Mutual pairs keep the smaller id as root, pointer
+    jumping flattens the hooks, and roots get fresh ids from the
+    counter.  Clusters without a crossing edge are Done.  The round
+    counts the arcs it examines: all 2m when it builds the list, else
+    twice the edges left in it.  With melioration on, edges that end up
+    inside a cluster are dropped for good; off, every round rescans all.
+    """
     t0 = time.perf_counter()
-    before = forest.cluster_count
-    scanned_before = forest.comparisons
-    bridges = cluster_mvc(g, forest)
-    if not bridges:
+    if forest.edge_ends is None:
+        _build_edge_list(g, forest)
+    scanned = 2 * forest.edge_w.size
+    forest.comparisons += scanned
+
+    base, k = forest.base, forest.cluster_count
+    lab = forest.edge_labels - base
+    live = np.flatnonzero(lab[0] != lab[1])
+    if live.size == 0:
+        forest.done = set(range(base, forest.counter))
         return forest
 
-    parent: dict[int, int] = {}
+    # Lowest-ranked crossing edge per cluster; the list length marks none.
+    best = np.full(k, forest.edge_w.size, dtype=np.int64)
+    np.minimum.at(best, lab[0, live], live)
+    np.minimum.at(best, lab[1, live], live)
+    ids = np.arange(k)
+    hooked = best < forest.edge_w.size
+    parent = ids.copy()
+    e = best[hooked]
+    parent[hooked] = np.where(lab[0, e] == ids[hooked], lab[1, e], lab[0, e])
+    mutual = (parent[parent] == ids) & (ids < parent)
+    parent[mutual] = ids[mutual]
+    child = parent != ids
+    e = best[child]
+    forest.picked.extend(zip(*forest.edge_ends[:, e].tolist(), forest.edge_w[e].tolist()))
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            break
+        parent = up
 
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    cl = forest.cluster_list
-    merged = 0
-    for cid, (w, a, b) in sorted(bridges.items(), key=lambda kv: kv[1]):
-        ra = find(cl[a])
-        rb = find(cl[b])
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-            forest.picked.append((a, b, w))
-            merged += 1
-    if merged == 0:  # pragma: no cover - Theorem 1 guarantees progress
-        raise NoProgress("no cluster merged despite available bridges")
-
-    # Rebuild membership into fresh ids from the counter (never reused).
-    cl_np = forest.cluster_of
-    uniq, inv = np.unique(cl_np, return_inverse=True)
-    roots = [find(int(c)) for c in uniq]
-    new_of_root: dict[int, int] = {}
-    for r in sorted(set(roots)):
-        new_of_root[r] = forest.new_cluster()
-    mapping = np.array([new_of_root[r] for r in roots], dtype=np.int64)
-    forest._set_cluster_of(mapping[inv])
-    forest.done = {new_of_root[find(c)] for c in forest.done}
+    roots = np.flatnonzero(parent == ids)
+    fresh = np.empty(k, dtype=np.int64)
+    fresh[roots] = forest.counter + np.arange(roots.size)
+    fresh = fresh[parent]
+    forest.cluster_of = fresh[forest.cluster_of - base]
+    forest.edge_labels = fresh[lab]
+    forest.done = set(fresh[~hooked].tolist())
+    forest.base = forest.counter
+    forest.counter += roots.size
+    if forest.melioration:
+        keep = forest.edge_labels[0] != forest.edge_labels[1]
+        forest.edge_ends = forest.edge_ends[:, keep]
+        forest.edge_w = forest.edge_w[keep]
+        forest.edge_labels = forest.edge_labels[:, keep]
 
     forest.rounds += 1
     forest.per_round.append(
         RoundStats(
-            clusters_before=before,
-            clusters_after=forest.cluster_count,
-            arcs_scanned=forest.comparisons - scanned_before,
+            clusters_before=k,
+            clusters_after=roots.size,
+            arcs_scanned=scanned,
             elapsed=time.perf_counter() - t0,
         )
     )
     return forest
-
-
-def snip(g: Graph, forest: Forest) -> np.ndarray:
-    """Recompute the reduced scan set: ids of peripheral nodes (nodes
-    with at least one arc leaving their cluster).  Marks everything
-    else interior.  Never changes any algorithmic choice."""
-    cl = forest.cluster_of
-    src = g.arc_sources()
-    cross = cl[src] != cl[g.leaves]
-    forest.peripheral = np.bincount(src[cross], minlength=g.n) > 0
-    return np.nonzero(forest.peripheral)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +357,10 @@ def snip(g: Graph, forest: Forest) -> np.ndarray:
 
 
 def run(g: Graph, mode: str = "ooag", melioration: bool = True) -> MstResult:
-    """Full execution: fleet build, node stage per mode, merge rounds."""
+    """Full execution: fleet build, node stage per mode, merge rounds.
+
+    ``melioration=False`` keeps every edge in the list, so each round
+    rescans all 2m arcs; the output is the same either way."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     phases: dict[str, float] = {}

@@ -82,8 +82,12 @@ def scale_weights(raw: Sequence[WeightLike]) -> tuple[np.ndarray, int]:
     for f in fracs:
         places = max(places, _decimal_places(f))
     scale = 10**places
-    vals = np.array([int(f * scale) for f in fracs], dtype=np.int64)
-    return vals, scale
+    vals = [int(f * scale) for f in fracs]
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    if vals and not lo <= min(vals) <= max(vals) <= hi:
+        f = next(f for f, v in zip(fracs, vals) if not lo <= v <= hi)
+        raise InvalidWeight(f"weight {f} at scale {scale} does not fit in 64 bits")
+    return np.array(vals, dtype=np.int64), scale
 
 
 def format_weight(scaled: int, scale: int) -> str:

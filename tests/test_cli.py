@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from fleetmst import engine
 from fleetmst.cli import CSV_HEADER, main
 from fleetmst.graph import read_graph
 
@@ -67,6 +68,33 @@ def test_malformed_graph_is_an_input_error(tmp_path, capsys):
     bad.write_text("2 1\n0 0 1\n")
     assert main(["verify", str(bad), str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [["0 1 9223372036854775808"], ["0 1 0.0000000001", "1 2 1000000000000"]],
+)
+def test_weight_beyond_int64_is_an_input_error(tmp_path, capsys, edges):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(f"3 {len(edges)}\n" + "\n".join(edges) + "\n")
+    assert main(["build", str(gpath), "--out", str(tmp_path / "t.txt")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bench_exits_nonzero_when_a_row_fails(tmp_path, monkeypatch, capsys):
+    def broken_run(g, mode="ooag", melioration=True):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(engine, "run", broken_run)
+    out = tmp_path / "bench.csv"
+    rc = main(["bench", "--grid", "4", "--algos", "ooag,kruskal", "--csv", str(out)])
+    assert rc == 1
+    rows = list(csv.DictReader(open(out, newline="")))
+    assert [(r["algo"], r["total_weight"] == "FAILED") for r in rows] == [
+        ("ooag", True),
+        ("kruskal", False),
+    ]
+    assert "injected failure" in capsys.readouterr().err
 
 
 def test_bench_csv_shape(tmp_path):

@@ -11,7 +11,6 @@ from fleetmst.engine import (
     merge_round,
     node_stage,
     run,
-    snip,
     write_tree,
 )
 from fleetmst.errors import AlreadyClaimed, InconsistentModel
@@ -98,10 +97,31 @@ def test_model_graph_mismatch_is_rejected():
         node_stage(TWO_TRIANGLES, build_fleet(other))
 
 
-def test_snip_keeps_only_bridge_endpoints():
-    f = build_fleet(TWO_TRIANGLES)
-    forest = node_stage(TWO_TRIANGLES, f)
-    assert snip(TWO_TRIANGLES, forest).tolist() == [2, 5]
+def _step_merge_rounds(g, melioration):
+    """Run the merge rounds one by one; per round, (arcs scanned, arcs
+    whose endpoints were in different clusters at the round's start)."""
+    forest = inheritance_stage(g, build_fleet(g))
+    forest.melioration = melioration
+    src = g.arc_sources()
+    rounds = []
+    while forest.cluster_count - len(forest.done) >= 2:
+        cl = forest.cluster_of.copy()
+        merge_round(g, forest)
+        crossing = int((cl[src] != cl[g.leaves]).sum())
+        rounds.append((forest.per_round[-1].arcs_scanned, crossing))
+    return rounds
+
+
+def test_merge_round_scans_the_crossing_arcs():
+    g = lattice8(30, tuple(range(1, 11)), seed=7)
+    rounds = _step_merge_rounds(g, melioration=True)
+    assert len(rounds) >= 2
+    assert rounds[0][0] == 2 * g.m
+    for scanned, crossing in rounds[1:]:
+        assert scanned == crossing < 2 * g.m
+    rescans = _step_merge_rounds(g, melioration=False)
+    assert len(rescans) == len(rounds)
+    assert all(scanned == 2 * g.m for scanned, _ in rescans)
 
 
 def test_merge_round_uses_fresh_cluster_ids():

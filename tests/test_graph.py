@@ -48,6 +48,17 @@ def test_scale_weights_rejects_floats_and_bools():
         scale_weights([Fraction(1, 3)])  # not a finite decimal
 
 
+def test_scale_weights_rejects_values_beyond_int64():
+    assert scale_weights([2**63 - 1])[0].tolist() == [2**63 - 1]
+    with pytest.raises(InvalidWeight):
+        scale_weights([2**63])
+    with pytest.raises(InvalidWeight):
+        scale_weights(["9223372036854775808"])
+    # Each fits alone; the shared scale 10**10 pushes the larger out.
+    with pytest.raises(InvalidWeight):
+        scale_weights(["0.0000000001", "1000000000000"])
+
+
 def test_format_weight_roundtrip():
     for scaled, scale, text in [(50, 100, "0.5"), (125, 100, "1.25"), (3, 1, "3"), (200, 100, "2")]:
         assert format_weight(scaled, scale) == text
