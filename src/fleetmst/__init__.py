@@ -2,11 +2,18 @@
 
 Graphs are stored as per-node star subgraphs with exact weights; the
 engine reaps clusters from mutual-minimum (beam) seeds and merges them
-Boruvka-style, with independent Kruskal/Prim/exhaustive oracles and a
-benchmark CLI on top.
+Boruvka-style, with independent Kruskal/Prim/exhaustive oracles, a
+cycle-property certificate and a benchmark CLI on top.
 """
 
-from .baselines import DisjointSet, brute_force, kruskal, prim, verify_spanning_forest
+from .baselines import (
+    DisjointSet,
+    brute_force,
+    kruskal,
+    minimality_witness,
+    prim,
+    verify_spanning_forest,
+)
 from .engine import (
     Forest,
     MstResult,
@@ -61,6 +68,7 @@ __all__ = [
     "kruskal",
     "lattice8",
     "merge_round",
+    "minimality_witness",
     "node_stage",
     "path",
     "prim",

@@ -1,4 +1,5 @@
-"""Independent oracles: Kruskal, Prim and exhaustive search.
+"""Independent oracles: Kruskal, Prim, exhaustive search and a
+cycle-property certificate for a claimed spanning forest.
 
 These never share logic with the staged engine; they only read graphs
 through the graph module, so an engine bug cannot cancel out here.
@@ -8,11 +9,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
 from .engine import MstResult
-from .errors import IdOutOfRange, TooLarge
+from .errors import NotASpanningForest, TooLarge
 from .graph import Graph, Weight
 
 
@@ -157,6 +160,189 @@ def brute_force(g: Graph) -> Weight:
     return g.unscale(int((subsets @ weights).min()))
 
 
+Witness = tuple[tuple[int, int, Weight], tuple[int, int, Weight]]
+
+
+def _scaled_claims(ws, scale: int) -> np.ndarray | None:
+    """Claimed weights in units of 1/scale as int64, or None unless each
+    is an integer there that fits."""
+    out = []
+    for w in ws:
+        if type(w) is not int:
+            try:
+                f = Fraction(w) * scale
+            except (TypeError, ValueError, OverflowError):
+                return None
+            if f.denominator != 1:
+                return None
+            w = f.numerator
+        else:
+            w *= scale
+        out.append(w)
+    try:
+        return np.array(out, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Label every node with the smallest id of its component under the
+    edges (a, b): hook each root onto the smallest root it touches, then
+    pointer-jump until every node points at its root."""
+    label = np.arange(n, dtype=a.dtype)
+    while True:
+        la, lb = label[a], label[b]
+        cross = la != lb
+        if not cross.any():
+            return label
+        np.minimum.at(label, np.maximum(la, lb)[cross], np.minimum(la, lb)[cross])
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+
+def _root(n, roots, a, b, w):
+    """Parent, parent-edge weight and depth of every node of the forest
+    (a, b, w), found breadth first from ``roots`` one level at a time.
+    Roots are their own parents, with weight 0."""
+    ends = np.concatenate((a, b))
+    order = np.argsort(ends, kind="stable")
+    nbr = np.concatenate((b, a))[order]
+    nw = np.concatenate((w, w))[order]
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=n), out=ptr[1:])
+    del ends, order
+    parent = np.arange(n, dtype=a.dtype)
+    pw = np.zeros(n, dtype=w.dtype)
+    depth = np.zeros(n, dtype=a.dtype)
+    frontier, level = roots, 0
+    while frontier.size:
+        lo = ptr[frontier]
+        cnt = ptr[frontier + 1] - lo
+        arcs = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+        src = np.repeat(frontier, cnt)
+        child = nbr[arcs]
+        down = child != parent[src]
+        child = child[down]
+        parent[child] = src[down]
+        pw[child] = nw[arcs[down]]
+        level += 1
+        depth[child] = level
+        frontier = child
+    return parent, pw, depth
+
+
+def _path_max(parent, pw, depth, a, b):
+    """Heaviest forest edge on the path between a[i] and b[i], for nodes
+    of one component, by binary lifting over ancestor tables."""
+    up, mx = [parent], [pw]
+    for _ in range(1, int(depth.max()).bit_length()):
+        p = up[-1]
+        mx.append(np.maximum(mx[-1], mx[-1][p]))
+        up.append(p[p])
+    swap = depth[a] < depth[b]
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    diff = depth[a] - depth[b]
+    best = np.zeros(a.size, dtype=pw.dtype)
+    for j in range(len(up)):
+        lift = np.flatnonzero((diff >> j) & 1)
+        la = a[lift]
+        best[lift] = np.maximum(best[lift], mx[j][la])
+        a[lift] = up[j][la]
+    # Same depth now; climb both while their ancestors differ.
+    live = np.flatnonzero(a != b)
+    a, b, acc = a[live], b[live], best[live]
+    for j in reversed(range(len(up))):
+        ua, ub = up[j][a], up[j][b]
+        split = np.flatnonzero(ua != ub)
+        sa, sb = a[split], b[split]
+        acc[split] = np.maximum(acc[split], np.maximum(mx[j][sa], mx[j][sb]))
+        a[split], b[split] = ua[split], ub[split]
+    best[live] = np.maximum(acc, np.maximum(pw[a], pw[b]))
+    return best
+
+
+def minimality_witness(
+    g: Graph, edges: list[tuple[int, int, Weight]]
+) -> Witness | None:
+    """Certify a claimed spanning forest by the cycle property.
+
+    A spanning forest is minimum iff no non-tree edge (u, v, w) is
+    lighter than the heaviest forest edge on the forest path u-v (King
+    1997).  Returns None for a minimum forest, else ((u, v, w), (x, y,
+    w')): the first such non-tree edge, u < v, and a heaviest forest
+    edge on its path, x < y.
+
+    Raises NotASpanningForest naming the first failed structure check:
+    'unknown edge' (a claim that is not an edge of g with that weight;
+    either orientation), 'cycle' or 'not spanning' (some graph edge
+    joins two forest components).
+    """
+    n = g.n
+    if edges:
+        us, vs, ws = (list(map(itemgetter(i), edges)) for i in range(3))
+        if min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= n:
+            raise NotASpanningForest("unknown edge")
+        ends = np.array((us, vs))
+        cw = _scaled_claims(ws, g.scale)
+        if ends.dtype.kind not in "iu" or cw is None:
+            raise NotASpanningForest("unknown edge")
+        ends.sort(axis=0)
+    else:
+        ends = np.zeros((2, 0), dtype=np.int64)
+        cw = np.zeros(0, dtype=np.int64)
+    ca, cb = ends
+    src = g.arc_sources()
+    half = src < g.leaves
+    ga, gb, gw = src[half], g.leaves[half], g.weights[half]
+    # Arcs are sorted by (source, leaf), so the keys of the a < b half are too.
+    keys = ga * n + gb
+    claimed = ca * n + cb
+    pos = np.searchsorted(keys, claimed)
+    if np.any(pos >= keys.size) or np.any(keys[pos] != claimed) or np.any(gw[pos] != cw):
+        raise NotASpanningForest("unknown edge")
+
+    label = _components(n, ca, cb)
+    roots = np.flatnonzero(label == np.arange(n))
+    if len(edges) != n - roots.size:
+        raise NotASpanningForest("cycle")
+    if np.any(label[ga] != label[gb]):
+        raise NotASpanningForest("not spanning")
+    if not edges:
+        return None
+
+    # Only a non-tree edge lighter than the heaviest tree edge can fail.
+    query = gw < cw.max()
+    query[pos] = False
+    qa, qb, qw = ga[query], gb[query], gw[query]
+    # Free the per-edge arrays before the lifting tables are built.
+    del half, ga, gb, gw, keys, claimed, pos, label, query
+    if qw.size == 0:
+        return None
+    cw = cw.astype(np.min_scalar_type(int(cw.max())))
+    parent, pw, depth = _root(n, roots, ca, cb, cw)
+    bad = np.flatnonzero(_path_max(parent, pw, depth, qa, qb) > qw)
+    if bad.size == 0:
+        return None
+
+    i = int(bad[0])
+    x, y = int(qa[i]), int(qb[i])
+    heavy = None
+    while x != y:
+        if depth[x] < depth[y]:
+            x, y = y, x
+        if heavy is None or pw[x] > heavy[2]:
+            heavy = (x, int(parent[x]), int(pw[x]))
+        x = int(parent[x])
+    hx, hy, hw = heavy
+    return (
+        (int(qa[i]), int(qb[i]), g.unscale(int(qw[i]))),
+        (min(hx, hy), max(hx, hy), g.unscale(hw)),
+    )
+
+
 def verify_spanning_forest(
     g: Graph,
     edges: list[tuple[int, int, Weight]],
@@ -164,33 +350,19 @@ def verify_spanning_forest(
 ) -> list[str]:
     """Check a claimed tree/forest against the graph.
 
-    Returns the violated properties in check order: 'unknown edge',
-    'cycle', 'not spanning', 'not minimum'.  Empty list means valid."""
-    problems: list[str] = []
-    total = 0
-    ds = DisjointSet(g.n)
-    acyclic = True
-    for u, v, w in edges:
-        gw = g.weight_between(u, v) if 0 <= u < g.n and 0 <= v < g.n else None
-        if gw is None or g.unscale(gw) != w:
-            problems.append("unknown edge")
-            return problems
-        total += gw
-        if not ds.union(u, v):
-            acyclic = False
-    if not acyclic:
-        problems.append("cycle")
-        return problems
-
-    full = DisjointSet(g.n)
-    for u, v, _ in g.edge_list():
-        full.union(u, v)
-    components = len({full.find(v) for v in range(g.n)})
-    if len(edges) != g.n - components:
-        problems.append("not spanning")
-        return problems
-
-    minimum = kruskal(g).total if expected_total is None else expected_total
-    if g.unscale(total) != minimum:
-        problems.append("not minimum")
-    return problems
+    Returns the violated property, in check order: 'unknown edge',
+    'cycle', 'not spanning', 'not minimum'.  Empty list means valid.
+    Minimality is certified by ``minimality_witness``, without any
+    reference MST; a forest whose total differs from ``expected_total``,
+    when given, is also 'not minimum'."""
+    try:
+        witness = minimality_witness(g, edges)
+    except NotASpanningForest as exc:
+        return [exc.problem]
+    if witness is not None:
+        return ["not minimum"]
+    if expected_total is not None:
+        total = sum(_scaled_claims([w for _, _, w in edges], g.scale).tolist())
+        if g.unscale(total) != expected_total:
+            return ["not minimum"]
+    return []

@@ -14,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import baselines, engine, generators, kernels
-from .errors import GraphError
+from .errors import GraphError, ParseError
 from .fleet import build_fleet
 from .graph import read_graph, write_graph
 
@@ -110,7 +110,7 @@ def _read_tree(path):
     edges = []
     header = None
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -118,9 +118,11 @@ def _read_tree(path):
             if header is None:
                 header = parts
                 continue
-            u, v, w = int(parts[0]), int(parts[1]), parts[2]
-            wv = Fraction(w)
-            edges.append((u, v, int(wv) if wv.denominator == 1 else wv))
+            try:
+                u, v, w = int(parts[0]), int(parts[1]), Fraction(parts[2])
+            except (ValueError, IndexError, ZeroDivisionError):
+                raise ParseError(line_no, f"expected 'u v w', got {line!r}") from None
+            edges.append((u, v, int(w) if w.denominator == 1 else w))
     return edges
 
 
@@ -128,15 +130,22 @@ def cmd_verify(args) -> int:
     try:
         g = read_graph(args.input)
         edges = _read_tree(args.tree)
-    except (GraphError, OSError, ValueError, IndexError) as exc:
+    except (GraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     problems = baselines.verify_spanning_forest(g, edges)
-    if problems:
+    if not problems:
+        print("OK")
+        return 0
+    if problems[0] == "not minimum":
+        (u, v, w), (x, y, wt) = baselines.minimality_witness(g, edges)
+        print(
+            f"FAIL: not minimum: non-tree edge ({u}, {v}, {engine._fmt(w)}) is lighter"
+            f" than tree edge ({x}, {y}, {engine._fmt(wt)}) on its path"
+        )
+    else:
         print(f"FAIL: {problems[0]}")
-        return 1
-    print("OK")
-    return 0
+    return 1
 
 
 def cmd_kvalue(args) -> int:

@@ -357,7 +357,8 @@ def merge_round(g: Graph, forest: Forest) -> Forest:
 
 
 def run(g: Graph, mode: str = "ooag", melioration: bool = True) -> MstResult:
-    """Full execution: fleet build, node stage per mode, merge rounds.
+    """Full execution: fleet build, node stage per mode, merge rounds,
+    then the picked edges and their total (the ``materialise`` phase).
 
     ``melioration=False`` keeps every edge in the list, so each round
     rescans all 2m arcs; the output is the same either way."""
@@ -391,10 +392,13 @@ def run(g: Graph, mode: str = "ooag", melioration: bool = True) -> MstResult:
             raise NoProgress("merge loop stalled")  # pragma: no cover
     phases["merge_rounds"] = time.perf_counter() - t2
 
-    total_scaled = sum(w for _, _, w in forest.picked)
+    t3 = time.perf_counter()
+    total = g.unscale(sum(w for _, _, w in forest.picked))
+    edges = forest.picked_edges()
+    phases["materialise"] = time.perf_counter() - t3
     return MstResult(
-        edges=forest.picked_edges(),
-        total=g.unscale(total_scaled),
+        edges=edges,
+        total=total,
         k_after_node_stage=k_after,
         rounds=forest.rounds,
         comparisons=forest.comparisons,

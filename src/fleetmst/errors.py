@@ -35,6 +35,14 @@ class UnknownEdge(GraphError):
     pass
 
 
+class NotASpanningForest(GraphError):
+    """A claimed forest failed a structure check; ``problem`` names it."""
+
+    def __init__(self, problem: str):
+        super().__init__(problem)
+        self.problem = problem
+
+
 class TooLarge(GraphError):
     pass
 

@@ -112,6 +112,8 @@ def unscale(scaled: int, scale: int) -> Weight:
 class Graph:
     """Immutable undirected weighted simple graph.
 
+    Its arrays are read-only (``writeable=False``), so an in-place write
+    raises ValueError instead of desynchronising models built from it.
     Safe for shared concurrent reads; construction is single-threaded.
     """
 
@@ -125,6 +127,8 @@ class Graph:
         weights: np.ndarray,
         scale: int,
     ):
+        for arr in (indptr, leaves, weights):
+            arr.flags.writeable = False
         self.n = n
         self.m = leaves.size // 2
         self.indptr = indptr
@@ -147,6 +151,7 @@ class Graph:
         if self._arc_src is None:
             counts = np.diff(self.indptr)
             self._arc_src = np.repeat(np.arange(self.n, dtype=np.int64), counts)
+            self._arc_src.flags.writeable = False
         return self._arc_src
 
     def weight_between(self, u: int, v: int) -> int | None:

@@ -57,6 +57,29 @@ def test_verify_rejects_a_tampered_tree(tmp_path, capsys):
     assert capsys.readouterr().out.rstrip().endswith("FAIL: not spanning")
 
 
+def test_verify_names_the_edges_that_break_minimality(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    tpath = tmp_path / "t.txt"
+    gpath.write_text("4 5\n0 1 1\n1 2 2\n2 3 3\n0 2 5\n1 3 4\n")
+    # The minimum tree is 0-1, 1-2, 2-3; 1-2 is swapped for the heavier
+    # 0-2, which closes the same cycle 0-1-2.
+    tpath.write_text("4 0 9 0\n0 1 1\n0 2 5\n2 3 3\n")
+    assert main(["verify", str(gpath), str(tpath)]) == 1
+    out = capsys.readouterr().out.strip()
+    assert out.startswith("FAIL: not minimum: ")
+    assert "(1, 2, 2)" in out and "(0, 2, 5)" in out
+
+
+@pytest.mark.parametrize("line", ["0 1 1/0", "0 1", "0 x 1", "0 1 abc"])
+def test_malformed_tree_line_is_an_input_error(tmp_path, capsys, line):
+    gpath = tmp_path / "g.txt"
+    tpath = tmp_path / "t.txt"
+    gpath.write_text("2 1\n0 1 1\n")
+    tpath.write_text(f"2 0 1 0\n{line}\n")
+    assert main(["verify", str(gpath), str(tpath)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
 def test_missing_input_is_an_input_error(tmp_path, capsys):
     assert main(["build", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "t.txt")]) == 2
     assert main(["kvalue", str(tmp_path / "nope.txt")]) == 2

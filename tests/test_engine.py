@@ -191,7 +191,7 @@ def test_full_rescan_has_flat_per_round_ratio():
 
 def test_result_bookkeeping_fields():
     res = run(TWO_TRIANGLES, mode="ooag")
-    assert set(res.phase_seconds) == {"fleet_build", "node_stage", "merge_rounds"}
+    assert set(res.phase_seconds) == {"fleet_build", "node_stage", "merge_rounds", "materialise"}
     assert res.comparisons >= len(res.per_round)
     assert res.node_arc_touches > 0
     assert res.mode == "ooag"

@@ -114,6 +114,13 @@ def test_total_weight_ignores_duplicates():
         total_weight(g, [(0, 1), (2, 0), (1, 1)])
 
 
+def test_graph_arrays_are_read_only():
+    g = build_graph(3, TRIANGLE)
+    for arr in (g.indptr, g.leaves, g.weights, g.arc_sources()):
+        with pytest.raises(ValueError):
+            arr[0] = 7
+
+
 def test_empty_and_singleton_graphs():
     g0 = build_graph(0, [])
     assert g0.n == 0 and g0.m == 0
