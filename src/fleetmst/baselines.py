@@ -7,8 +7,10 @@ through the graph module, so an engine bug cannot cancel out here.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
+import math
 from fractions import Fraction
 from operator import itemgetter
 
@@ -118,37 +120,31 @@ def prim(g: Graph, seed: int = 0) -> MstResult:
     )
 
 
-# Cache of acyclic (n - c)-subsets per graph topology, keyed by the node
-# count and edge pair tuple.  The enumeration is the oracle; caching only
-# avoids redoing it for identical topologies with different weights.
-_FOREST_CACHE: dict[tuple, np.ndarray] = {}
+# Largest number of (n - c)-subsets brute_force will enumerate.
+MAX_SUBSETS = 100_000
 
 
-def _spanning_subsets(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    key = (n, pairs)
-    cached = _FOREST_CACHE.get(key)
-    if cached is not None:
-        return cached
-    ds = DisjointSet(n)
-    for a, b in pairs:
-        ds.union(a, b)
-    components = len({ds.find(v) for v in range(n)})
-    size = n - components
+# Acyclic (n - c)-subsets per graph topology, keyed by the node count and
+# the edge pairs.  The enumeration is the oracle; caching only avoids
+# redoing it for identical topologies with different weights.
+@functools.lru_cache(maxsize=16)
+def _spanning_subsets(n: int, pairs: tuple[tuple[int, int], ...], size: int) -> np.ndarray:
     rows = []
     for combo in itertools.combinations(range(len(pairs)), size):
-        ds2 = DisjointSet(n)
-        if all(ds2.union(*pairs[i]) for i in combo):
-            row = np.zeros(len(pairs), dtype=np.int64)
+        ds = DisjointSet(n)
+        if all(ds.union(*pairs[i]) for i in combo):
+            row = np.zeros(len(pairs), dtype=np.int8)
             row[list(combo)] = 1
             rows.append(row)
-    matrix = np.array(rows, dtype=np.int64) if rows else np.zeros((1, len(pairs)), np.int64)
-    _FOREST_CACHE[key] = matrix
+    matrix = np.array(rows) if rows else np.zeros((1, len(pairs)), np.int8)
+    matrix.flags.writeable = False
     return matrix
 
 
 def brute_force(g: Graph) -> Weight:
     """Minimum spanning-forest weight by enumerating all acyclic edge
-    subsets of size n - c.  Ground truth for tiny instances only."""
+    subsets of size n - c.  Ground truth for tiny instances only: refuses
+    n > 10 or more than MAX_SUBSETS subsets."""
     if g.n > 10:
         raise TooLarge(f"brute force refuses n={g.n} > 10")
     edges = g.edge_list()
@@ -156,7 +152,14 @@ def brute_force(g: Graph) -> Weight:
     weights = np.array([w for _, _, w in edges], dtype=np.int64)
     if not pairs:
         return 0
-    subsets = _spanning_subsets(g.n, pairs)
+    ds = DisjointSet(g.n)
+    for a, b in pairs:
+        ds.union(a, b)
+    size = g.n - len({ds.find(v) for v in range(g.n)})
+    count = math.comb(len(pairs), size)
+    if count > MAX_SUBSETS:
+        raise TooLarge(f"brute force refuses C({len(pairs)}, {size}) = {count} > {MAX_SUBSETS} subsets")
+    subsets = _spanning_subsets(g.n, pairs, size)
     return g.unscale(int((subsets @ weights).min()))
 
 

@@ -11,12 +11,11 @@ import statistics
 import sys
 import time
 from collections import Counter
-from fractions import Fraction
 
 from . import baselines, engine, generators, kernels
-from .errors import GraphError, ParseError
+from .errors import GraphError, InvalidWeight, ParseError
 from .fleet import build_fleet
-from .graph import read_graph, write_graph
+from .graph import _as_fraction, format_weight, read_graph, write_graph
 
 CSV_HEADER = [
     "spec",
@@ -74,6 +73,11 @@ def _run_algo(g, algo: str):
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
+def _weight_text(g, w) -> str:
+    """An exact weight of g as a minimal decimal, at g's scale."""
+    return format_weight(int(w * g.scale), g.scale)
+
+
 def _write_stats(result, g, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"algo={result.mode}\n")
@@ -82,7 +86,7 @@ def _write_stats(result, g, path) -> None:
         fh.write(f"k={result.k_after_node_stage}\n")
         fh.write(f"rounds={result.rounds}\n")
         fh.write(f"comparisons_A={result.comparisons}\n")
-        fh.write(f"total_weight={engine._fmt(result.total)}\n")
+        fh.write(f"total_weight={_weight_text(g, result.total)}\n")
         for name, sec in result.phase_seconds.items():
             fh.write(f"{name}_ms={sec * 1e3:.3f}\n")
         for i, rs in enumerate(result.per_round):
@@ -102,7 +106,7 @@ def cmd_build(args) -> int:
     engine.write_tree(result, g.n, args.out)
     if args.stats:
         _write_stats(result, g, args.stats)
-    print(f"{args.algo}: {len(result.edges)} edges, total {result.total}")
+    print(f"{args.algo}: {len(result.edges)} edges, total {_weight_text(g, result.total)}")
     return 0
 
 
@@ -119,8 +123,8 @@ def _read_tree(path):
                 header = parts
                 continue
             try:
-                u, v, w = int(parts[0]), int(parts[1]), Fraction(parts[2])
-            except (ValueError, IndexError, ZeroDivisionError):
+                u, v, w = int(parts[0]), int(parts[1]), _as_fraction(parts[2])
+            except (ValueError, IndexError, InvalidWeight):
                 raise ParseError(line_no, f"expected 'u v w', got {line!r}") from None
             edges.append((u, v, int(w) if w.denominator == 1 else w))
     return edges
@@ -140,8 +144,8 @@ def cmd_verify(args) -> int:
     if problems[0] == "not minimum":
         (u, v, w), (x, y, wt) = baselines.minimality_witness(g, edges)
         print(
-            f"FAIL: not minimum: non-tree edge ({u}, {v}, {engine._fmt(w)}) is lighter"
-            f" than tree edge ({x}, {y}, {engine._fmt(wt)}) on its path"
+            f"FAIL: not minimum: non-tree edge ({u}, {v}, {_weight_text(g, w)}) is lighter"
+            f" than tree edge ({x}, {y}, {_weight_text(g, wt)}) on its path"
         )
     else:
         print(f"FAIL: {problems[0]}")
@@ -190,7 +194,7 @@ def _bench_row(spec, algo, g, repeats):
         "phase3_ms": f"{statistics.median(elapsed) * 1e3:.3f}"
         if algo not in ENGINE_ALGOS
         else f"{phases.get('merge_rounds', 0) * 1e3:.3f}",
-        "total_weight": engine._fmt(res.total),
+        "total_weight": _weight_text(g, res.total),
     }
 
 

@@ -3,12 +3,19 @@
 The node stage reaps clusters out of the fleet model (beam-seeded, or
 via the inheritance chase, or kernel-seeded).  The cluster stage then
 merges clusters Boruvka-style over one contracting edge list: the first
-round lists every edge once, sorted by (weight, smaller endpoint, larger
-endpoint); each round every live cluster hooks onto its lowest-ranked
-crossing edge, the hooks are flattened into fresh cluster ids, and the
-edges now inside a cluster are dropped for good.  Dropping them (the
-melioration) only shrinks what later rounds examine; it never changes
-a choice.
+round lists every edge that crosses two clusters once, sorted by
+(weight, smaller endpoint, larger endpoint); each round every live
+cluster hooks onto its lowest-ranked crossing edge, the hooks are
+flattened into fresh cluster ids, and the edges now inside a cluster
+are dropped for good.  Dropping them (the melioration) only shrinks
+what later rounds examine; it never changes a choice.  With it off, the
+list keeps every edge and each round rescans all 2m arcs.
+
+Picked edges stay arrays until the result is built.  Every node-stage
+pick has the form "node z joins through p with weight mvc[z]", so the
+node stage only writes ``parent[z] = p``; each merge round appends the
+columns of the edges it chooses.  ``Forest.picked`` is derived from the
+two: ``(u, v, scaled w)`` triples, ``u < v``, sorted.
 
 ``perfbench/tracing.py`` re-drives ``run`` step by step, so these names
 keep their meaning: ``merge_round(g, forest)``; ``Forest.cluster_count``,
@@ -27,13 +34,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    AlreadyClaimed,
-    InconsistentModel,
-    NoProgress,
-)
+from .errors import AlreadyClaimed, InconsistentModel, NoProgress
 from .fleet import FleetModel, build_fleet
-from .graph import Graph, Weight
+from .graph import Graph, Weight, decimal_places, format_weight
 
 MODES = ("oag_then_merge", "ooag", "koag_seeded")
 
@@ -63,9 +66,12 @@ class Forest:
     """Mutable cluster bookkeeping during one engine execution.
 
     Live cluster ids are always the dense range [base, counter).  The
-    node stage writes ``cluster_list`` in place and then calls
-    ``invalidate``; the merge rounds assign ``cluster_of`` and keep
-    their contracting edge list here.
+    node stage writes ``cluster_list`` and ``parent`` in place and then
+    calls ``invalidate``; ``parent[z] = p`` records that z joined its
+    cluster through the edge {z, p} of weight ``mvc[z]`` (-1: no such
+    pick).  The merge rounds assign ``cluster_of``, keep their
+    contracting edge list here and append the ends and weights of the
+    edges they choose to ``merged``.
     Confined to a single execution context; not thread safe.
     """
 
@@ -76,7 +82,9 @@ class Forest:
         self.base = 0
         self.counter = 0
         self.rounds = 0
-        self.picked: list[tuple[int, int, int]] = []  # (u, v, scaled w), u < v
+        self.parent: list[int] = [-1] * graph.n
+        self.mvc = np.zeros(0, dtype=np.int64)  # scaled MVC per node; the node stage sets it
+        self.merged: list[tuple[np.ndarray, np.ndarray]] = []  # per round: ends (2, c), scaled w
         self.done: set[int] = set()
         self.melioration = True
         self.comparisons = 0
@@ -116,13 +124,42 @@ class Forest:
     def cluster_count(self) -> int:
         return self.counter - self.base
 
-    def picked_edges(self) -> list[tuple[int, int, Weight]]:
-        g = self.graph
-        return sorted((u, v, g.unscale(w)) for u, v, w in self.picked)
-
     def invalidate(self) -> None:
         """Call after writing ``cluster_list`` directly."""
         self._cluster_np = None
+
+    # -- picked edges ----------------------------------------------------
+
+    def _columns(self) -> tuple[list[int], list[int], list[int]]:
+        """Ends u < v and scaled weights of the picked edges, sorted on (u, v)."""
+        parent = np.array(self.parent, dtype=np.int64)
+        z = np.flatnonzero(parent >= 0)
+        p = parent[z]
+        ends = np.concatenate(
+            [np.stack((np.minimum(z, p), np.maximum(z, p)))] + [e for e, _ in self.merged], axis=1
+        )
+        w = np.concatenate([self.mvc[z]] + [w for _, w in self.merged])
+        order = np.argsort(ends[0] * self.graph.n + ends[1])
+        return ends[0, order].tolist(), ends[1, order].tolist(), w[order].tolist()
+
+    @property
+    def picked(self) -> list[tuple[int, int, int]]:
+        """Every picked edge as (u, v, scaled w) with u < v, sorted."""
+        return list(zip(*self._columns()))
+
+    def materialise(self) -> tuple[list[tuple[int, int, Weight]], Weight]:
+        """The picked edges with public weights, sorted, and their total
+        (summed exactly, as Python ints)."""
+        g = self.graph
+        u, v, w = self._columns()
+        total = g.unscale(sum(w))
+        if g.scale != 1:
+            w = [g.unscale(x) for x in w]
+        return list(zip(u, v, w)), total
+
+    def picked_edges(self) -> list[tuple[int, int, Weight]]:
+        """The picked edges with public weights, sorted."""
+        return self.materialise()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +167,15 @@ class Forest:
 # ---------------------------------------------------------------------------
 
 
-def _check_model(g: Graph, f: FleetModel) -> None:
+def _attach(g: Graph, f: FleetModel, forest: Optional[Forest]) -> tuple[Forest, dict]:
+    """Check that f was built from g; return the forest (a new one when
+    None), whose node-stage picks weigh f's MVCs, and f's chase tables."""
     if f.graph is not g and f.graph != g:
         raise InconsistentModel("fleet model was not built from this graph")
+    if forest is None:
+        forest = Forest(g)
+    forest.mvc = f.mvc_scaled
+    return forest, f.chase_tables()
 
 
 def _reap(forest: Forest, tables: dict, queue: deque, cid: int, cross_beams: bool) -> None:
@@ -141,12 +184,11 @@ def _reap(forest: Forest, tables: dict, queue: deque, cid: int, cross_beams: boo
     peer-to-peer beam crossings.  Already-claimed nodes are skipped,
     which is the cycle guard."""
     cl = forest.cluster_list
+    parent = forest.parent
     rev_ptr = tables["rev_ptr"]
     rev_flat = tables["rev_flat"]
     beam_ptr = tables["beam_ptr"]
     beam_flat = tables["beam_flat"]
-    mvc = tables["mvc"]
-    picked = forest.picked
     touches = 0
     while queue:
         y = queue.popleft()
@@ -155,7 +197,7 @@ def _reap(forest: Forest, tables: dict, queue: deque, cid: int, cross_beams: boo
             r = rev_flat[i]
             if cl[r] < 0:
                 cl[r] = cid
-                picked.append((r, y, mvc[r]) if r < y else (y, r, mvc[r]))
+                parent[r] = y
                 queue.append(r)
         if cross_beams:
             for i in range(beam_ptr[y], beam_ptr[y + 1]):
@@ -163,15 +205,15 @@ def _reap(forest: Forest, tables: dict, queue: deque, cid: int, cross_beams: boo
                 b = beam_flat[i]
                 if cl[b] < 0:
                     cl[b] = cid
-                    picked.append((y, b, mvc[b]) if y < b else (b, y, mvc[b]))
+                    parent[b] = y
                     queue.append(b)
     forest.node_arc_touches += touches
 
 
-def _claim_isolated(forest: Forest, tables: dict) -> None:
+def _claim_isolated(forest: Forest, f: FleetModel) -> None:
     cl = forest.cluster_list
-    for v, iso in enumerate(tables["isolated"]):
-        if iso and cl[v] < 0:
+    for v in np.flatnonzero(f.isolated).tolist():
+        if cl[v] < 0:
             cl[v] = forest.new_cluster()
 
 
@@ -179,14 +221,10 @@ def node_stage(g: Graph, f: FleetModel, forest: Optional[Forest] = None) -> Fore
     """Beam-seeded reaping: every still-unclaimed beam pair founds a
     cluster, which then absorbs its subjection chains and crosses beams
     peer-to-peer.  Isolated nodes end up as singleton clusters."""
-    _check_model(g, f)
-    if forest is None:
-        forest = Forest(g)
-    tables = f.chase_tables()
+    forest, tables = _attach(g, f, forest)
     cl = forest.cluster_list
     beam_ptr = tables["beam_ptr"]
     beam_flat = tables["beam_flat"]
-    mvc = tables["mvc"]
     for a in range(g.n):
         for i in range(beam_ptr[a], beam_ptr[a + 1]):
             b = beam_flat[i]
@@ -196,9 +234,9 @@ def node_stage(g: Graph, f: FleetModel, forest: Optional[Forest] = None) -> Fore
                 cid = forest.new_cluster()
                 cl[a] = cid
                 cl[b] = cid
-                forest.picked.append((a, b, mvc[a]))
+                forest.parent[b] = a
                 _reap(forest, tables, deque((a, b)), cid, cross_beams=True)
-    _claim_isolated(forest, tables)
+    _claim_isolated(forest, f)
     forest.invalidate()
     return forest
 
@@ -210,11 +248,10 @@ def inheritance_chase(g: Graph, f: FleetModel, start: int, forest: Forest) -> in
     The upward moves never pick edges; they only relocate the inheritor,
     so the invert pitfall cannot occur.  Returns the cluster id that
     ends up owning start."""
-    _check_model(g, f)
+    forest, tables = _attach(g, f, forest)
     g._check_id(start)
     if forest.cluster_list[start] >= 0:
         raise AlreadyClaimed(f"node {start} already belongs to a cluster")
-    tables = f.chase_tables()
     cl = forest.cluster_list
     if tables["isolated"][start]:
         cid = forest.new_cluster()
@@ -231,7 +268,7 @@ def inheritance_chase(g: Graph, f: FleetModel, start: int, forest: Forest) -> in
             # Climb hits claimed territory: that cluster absorbs x.
             cid = cl[t]
             cl[x] = cid
-            forest.picked.append((x, t, mvc[x]) if x < t else (t, x, mvc[x]))
+            forest.parent[x] = t
             _reap(forest, tables, deque((x,)), cid, cross_beams=True)
             return cl[start]
         if mvc[t] == mvc[x]:
@@ -239,7 +276,7 @@ def inheritance_chase(g: Graph, f: FleetModel, start: int, forest: Forest) -> in
             cid = forest.new_cluster()
             cl[x] = cid
             cl[t] = cid
-            forest.picked.append((x, t, mvc[x]) if x < t else (t, x, mvc[x]))
+            forest.parent[x] = t
             _reap(forest, tables, deque((x, t)), cid, cross_beams=True)
             return cl[start]
         x = t
@@ -247,16 +284,13 @@ def inheritance_chase(g: Graph, f: FleetModel, start: int, forest: Forest) -> in
 
 def inheritance_stage(g: Graph, f: FleetModel, forest: Optional[Forest] = None) -> Forest:
     """Node stage driven by the inheritance chase from every unclaimed node."""
-    _check_model(g, f)
-    if forest is None:
-        forest = Forest(g)
-    tables = f.chase_tables()
+    forest, tables = _attach(g, f, forest)
     cl = forest.cluster_list
     iso = tables["isolated"]
     for v in range(g.n):
         if cl[v] < 0 and not iso[v]:
             inheritance_chase(g, f, v, forest)
-    _claim_isolated(forest, tables)
+    _claim_isolated(forest, f)
     forest.invalidate()
     return forest
 
@@ -268,15 +302,21 @@ def inheritance_stage(g: Graph, f: FleetModel, forest: Optional[Forest] = None) 
 
 def _build_edge_list(g: Graph, forest: Forest) -> None:
     """Every edge once as (a, b) with a < b, sorted by (w, a, b).  Arcs
-    are stored in (src, dst) order, so a stable sort on w suffices."""
+    are stored in (src, dst) order, so a stable sort on w suffices.
+    With melioration on, edges inside a cluster are left out before the
+    sort; the crossing edges keep their relative order, so no choice
+    changes."""
     src = g.arc_sources()
+    cl = forest.cluster_of
     keep = src < g.leaves
+    if forest.melioration:
+        keep &= cl[src] != cl[g.leaves]
     ends = np.stack((src[keep], g.leaves[keep]))
     w = g.weights[keep]
     order = np.argsort(w, kind="stable")
     forest.edge_ends = ends[:, order]
     forest.edge_w = w[order]
-    forest.edge_labels = forest.cluster_of[forest.edge_ends]
+    forest.edge_labels = cl[forest.edge_ends]
 
 
 def merge_round(g: Graph, forest: Forest) -> Forest:
@@ -294,7 +334,9 @@ def merge_round(g: Graph, forest: Forest) -> Forest:
     t0 = time.perf_counter()
     if forest.edge_ends is None:
         _build_edge_list(g, forest)
-    scanned = 2 * forest.edge_w.size
+        scanned = g.arc_count
+    else:
+        scanned = 2 * forest.edge_w.size
     forest.comparisons += scanned
 
     base, k = forest.base, forest.cluster_count
@@ -317,7 +359,7 @@ def merge_round(g: Graph, forest: Forest) -> Forest:
     parent[mutual] = ids[mutual]
     child = parent != ids
     e = best[child]
-    forest.picked.extend(zip(*forest.edge_ends[:, e].tolist(), forest.edge_w[e].tolist()))
+    forest.merged.append((forest.edge_ends[:, e], forest.edge_w[e]))
     while True:
         up = parent[parent]
         if np.array_equal(up, parent):
@@ -393,8 +435,7 @@ def run(g: Graph, mode: str = "ooag", melioration: bool = True) -> MstResult:
     phases["merge_rounds"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()
-    total = g.unscale(sum(w for _, _, w in forest.picked))
-    edges = forest.picked_edges()
+    edges, total = forest.materialise()
     phases["materialise"] = time.perf_counter() - t3
     return MstResult(
         edges=edges,
@@ -409,26 +450,15 @@ def run(g: Graph, mode: str = "ooag", melioration: bool = True) -> MstResult:
     )
 
 
-def _fmt(w: Weight) -> str:
-    """Render an exact weight as a decimal string."""
-    if isinstance(w, int):
-        return str(w)
-    from .graph import format_weight
-
-    from fractions import Fraction
-
-    f = Fraction(w)
-    scale = 1
-    while (f * scale).denominator != 1:
-        scale *= 10
-    return format_weight(int(f * scale), scale)
-
-
 def write_tree(result: MstResult, n: int, path) -> None:
-    """Tree output format: 'n k total rounds' then one sorted edge per line."""
+    """Tree output format: 'n k total rounds' then one sorted edge per
+    line.  Weights are written exactly, as minimal decimals at the
+    smallest scale that makes every edge weight an integer."""
+    weights = {w for _, _, w in result.edges}
+    scale = 10 ** max(map(decimal_places, weights), default=0)
+    text = {w: format_weight(int(w * scale), scale) for w in weights}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"{n} {result.k_after_node_stage} {_fmt(result.total)} {result.rounds}\n"
-        )
+        total = format_weight(int(result.total * scale), scale)
+        fh.write(f"{n} {result.k_after_node_stage} {total} {result.rounds}\n")
         for u, v, w in result.edges:
-            fh.write(f"{u} {v} {_fmt(w)}\n")
+            fh.write(f"{u} {v} {text[w]}\n")

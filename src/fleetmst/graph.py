@@ -10,6 +10,7 @@ weight equality.
 
 from __future__ import annotations
 
+import math
 import numbers
 from decimal import Decimal
 from fractions import Fraction
@@ -60,44 +61,50 @@ def _as_fraction(w: WeightLike) -> Fraction:
     raise InvalidWeight(f"unsupported weight type {type(w).__name__}")
 
 
-def _decimal_places(f: Fraction) -> int:
-    """Number of decimal digits needed, or raise if not a decimal."""
-    den = f.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
-        raise InvalidWeight(f"{f} is not representable as a fixed-precision decimal")
+def _show(w: Weight) -> str:
+    """The weight as text, or its order of magnitude when it has more
+    digits than int-to-str conversion allows."""
+    if max(abs(w.numerator), w.denominator).bit_length() <= 2000:  # ~600 digits
+        return str(w)
+    return f"of about 1e{round(math.log10(abs(w.numerator)) - math.log10(w.denominator))}"
+
+
+def decimal_places(w: Weight) -> int:
+    """Number of decimal digits needed to write w exactly, or raise if
+    it is not a finite decimal.  Its denominator must be 2**a * 5**b,
+    and the count is max(a, b); no loop over the digits."""
+    den = w.denominator
+    twos = (den & -den).bit_length() - 1
+    rest = den >> twos
+    fives = round(math.log(rest, 5))
+    if 5**fives != rest:
+        raise InvalidWeight(f"{_show(w)} is not representable as a fixed-precision decimal")
     return max(twos, fives)
 
 
 def scale_weights(raw: Sequence[WeightLike]) -> tuple[np.ndarray, int]:
     """Convert weights to (scaled int64 array, scale) with minimal scale."""
     fracs = [_as_fraction(w) for w in raw]
-    places = 0
-    for f in fracs:
-        places = max(places, _decimal_places(f))
+    places = max(map(decimal_places, fracs), default=0)
     scale = 10**places
     vals = [int(f * scale) for f in fracs]
     lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
     if vals and not lo <= min(vals) <= max(vals) <= hi:
         f = next(f for f, v in zip(fracs, vals) if not lo <= v <= hi)
-        raise InvalidWeight(f"weight {f} at scale {scale} does not fit in 64 bits")
+        raise InvalidWeight(f"weight {_show(f)} at scale 1e{places} does not fit in 64 bits")
     return np.array(vals, dtype=np.int64), scale
 
 
 def format_weight(scaled: int, scale: int) -> str:
-    """Render a scaled weight as its minimal decimal string."""
+    """Render a scaled weight as its minimal decimal string; scale is a
+    power of ten."""
     if scale == 1:
         return str(int(scaled))
     q, r = divmod(int(scaled), scale)
     if r == 0:
         return str(q)
-    digits = str(r).rjust(len(str(scale)) - 1, "0").rstrip("0")
+    places = round(math.log10(scale))
+    digits = str(r).rjust(places, "0").rstrip("0")
     return f"{q}.{digits}"
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import Forest, _claim_isolated, _reap
+from .engine import Forest, _attach, _claim_isolated, _reap
 from .fleet import FleetModel
 from .graph import Graph
 
@@ -79,12 +79,11 @@ def koag_seed(g: Graph, f: FleetModel, report: KernelReport) -> Forest:
     not reachable that way (components whose beams were all abandoned,
     or beams shielded behind their own mutual targets) fall back to
     plain beam seeding so coverage is preserved."""
-    forest = Forest(g)
-    tables = f.chase_tables()
+    forest, tables = _attach(g, f, None)
     cl = forest.cluster_list
+    parent = forest.parent
     beam_ptr = tables["beam_ptr"]
     beam_flat = tables["beam_flat"]
-    mvc = tables["mvc"]
 
     for kernel in report.kernels:
         cid = forest.new_cluster()
@@ -99,7 +98,7 @@ def koag_seed(g: Graph, f: FleetModel, report: KernelReport) -> Forest:
                 b = beam_flat[i]
                 if b in kset and cl[b] < 0:
                     cl[b] = cid
-                    forest.picked.append((y, b, mvc[b]) if y < b else (b, y, mvc[b]))
+                    parent[b] = y
                     queue.append(b)
         _reap(forest, tables, deque(kernel), cid, cross_beams=False)
 
@@ -114,16 +113,16 @@ def koag_seed(g: Graph, f: FleetModel, report: KernelReport) -> Forest:
                 cid = forest.new_cluster()
                 cl[a] = cid
                 cl[b] = cid
-                forest.picked.append((a, b, mvc[a]))
+                parent[b] = a
                 _reap(forest, tables, deque((a, b)), cid, cross_beams=True)
             elif cl[a] < 0 or cl[b] < 0:
                 claimed, fresh = (a, b) if cl[a] >= 0 else (b, a)
                 cid = cl[claimed]
                 cl[fresh] = cid
-                forest.picked.append((a, b, mvc[a]))
+                parent[fresh] = claimed
                 _reap(forest, tables, deque((fresh,)), cid, cross_beams=True)
 
-    _claim_isolated(forest, tables)
+    _claim_isolated(forest, f)
     forest.invalidate()
     report.seeded_forest = forest
     return forest

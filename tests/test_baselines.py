@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -67,6 +68,19 @@ def test_brute_force_tiny_graphs():
 def test_brute_force_refuses_large_inputs():
     with pytest.raises(TooLarge):
         brute_force(random_gnm(11, 10, (1,), seed=0))
+    # K10 has n <= 10 but C(45, 9) ~ 8.9e8 subsets: refused before enumerating.
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge, match="C\\(45, 9\\)"):
+        brute_force(complete(10, (1, 2, 3), seed=0))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_brute_force_cache_is_bounded():
+    for n in range(3, 8):
+        for seed in range(6):
+            brute_force(random_gnm(n, n, (1, 2), seed=seed))
+    info = baselines._spanning_subsets.cache_info()
+    assert info.maxsize is not None and info.currsize == info.maxsize
 
 
 def test_brute_force_agrees_with_kruskal():

@@ -95,13 +95,33 @@ def test_malformed_graph_is_an_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "edges",
-    [["0 1 9223372036854775808"], ["0 1 0.0000000001", "1 2 1000000000000"]],
+    [
+        ["0 1 9223372036854775808"],
+        ["0 1 0.0000000001", "1 2 1000000000000"],
+        ["0 1 1e100000"],
+        ["0 1 1e-5000", "1 2 2"],
+    ],
 )
 def test_weight_beyond_int64_is_an_input_error(tmp_path, capsys, edges):
     gpath = tmp_path / "g.txt"
     gpath.write_text(f"3 {len(edges)}\n" + "\n".join(edges) + "\n")
     assert main(["build", str(gpath), "--out", str(tmp_path / "t.txt")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_weight_with_many_decimal_places_round_trips(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    tpath = tmp_path / "t.txt"
+    spath = tmp_path / "stats.txt"
+    tiny = "0." + "0" * 19999
+    gpath.write_text("3 3\n0 1 1e-20000\n1 2 3e-20000\n0 2 5e-20000\n")
+    assert main(["build", str(gpath), "--out", str(tpath), "--stats", str(spath)]) == 0
+    lines = tpath.read_text().splitlines()
+    assert lines[0].split()[2] == tiny + "4"
+    assert lines[1:] == [f"0 1 {tiny}1", f"1 2 {tiny}3"]
+    assert f"total_weight={tiny}4" in spath.read_text()
+    assert main(["verify", str(gpath), str(tpath)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "OK"
 
 
 def test_bench_exits_nonzero_when_a_row_fails(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fleetmst import engine
@@ -16,7 +18,7 @@ from fleetmst.engine import (
 from fleetmst.errors import AlreadyClaimed, InconsistentModel
 from fleetmst.fleet import build_fleet
 from fleetmst.generators import lattice8, random_gnm
-from fleetmst.graph import build_graph
+from fleetmst.graph import build_graph, graph_from_arrays
 
 TWO_TRIANGLES = build_graph(
     6,
@@ -212,3 +214,58 @@ def test_decimal_weights_survive_the_pipeline():
     res = run(g, mode="ooag")
     assert res.total == kruskal(g).total
     assert str(res.total) == "3/4"
+
+
+def test_edges_are_sorted_pairs_in_every_mode():
+    graphs = [TWO_TRIANGLES, random_gnm(60, 200, (1, 2), seed=3), lattice8(12, (1, 2, 3), seed=1)]
+    for g in graphs:
+        for mode in engine.MODES:
+            pairs = [(u, v) for u, v, _ in run(g, mode=mode).edges]
+            assert all(u < v for u, v in pairs)
+            assert all(a < b for a, b in zip(pairs, pairs[1:]))
+
+
+@pytest.mark.parametrize("scale", [10, 100])
+def test_decimal_results_match_kruskal_in_value_and_type(scale):
+    # Distinct weights, so the minimum forest and its edge list are unique.
+    base = random_gnm(40, 120, (1,), seed=scale)
+    src = base.arc_sources()
+    keep = src < base.leaves
+    w = ((np.arange(base.m) * 37) % base.m + 1) * (scale // 10)  # 0.1, 0.2, ..., 12
+    g = graph_from_arrays(base.n, src[keep], base.leaves[keep], w, scale)
+    ref = kruskal(g)
+    for mode in engine.MODES:
+        res = run(g, mode=mode)
+        assert res.edges == ref.edges and res.total == ref.total
+        assert [type(w) for *_, w in res.edges] == [type(w) for *_, w in ref.edges]
+        assert type(res.total) is type(ref.total)
+    assert {type(w) for *_, w in ref.edges} == {int, Fraction}
+
+
+def test_total_is_exact_beyond_int64():
+    g = build_graph(4, [(0, 1, 2**62), (1, 2, 2**62), (2, 3, 2**62)])
+    for mode in engine.MODES:
+        res = run(g, mode=mode)
+        assert res.total == kruskal(g).total == 3 * 2**62 > 2**63
+
+
+def test_first_edge_list_holds_only_crossing_edges():
+    """With melioration on, the first round lists only the edges that
+    cross clusters yet counts all 2m arcs; off, it lists every edge."""
+    g = lattice8(80, (1, 2), seed=9)  # the node stage leaves 4 clusters
+    f = build_fleet(g)
+    src = g.arc_sources()
+    for melioration in (True, False):
+        listed, stepped = inheritance_stage(g, f), inheritance_stage(g, f)
+        listed.melioration = stepped.melioration = melioration
+        cl = listed.cluster_of
+        crossing = int(((src < g.leaves) & (cl[src] != cl[g.leaves])).sum())
+        engine._build_edge_list(g, listed)
+        lab = listed.edge_labels
+        if melioration:
+            assert listed.edge_w.size == crossing > 0
+            assert (lab[0] != lab[1]).all()
+        else:
+            assert listed.edge_w.size == g.m > crossing
+        merge_round(g, stepped)
+        assert stepped.per_round[0].arcs_scanned == 2 * g.m

@@ -15,6 +15,7 @@ from fleetmst.errors import (
 from fleetmst.graph import (
     Awt,
     build_graph,
+    decimal_places,
     format_weight,
     read_graph,
     scale_weights,
@@ -57,12 +58,24 @@ def test_scale_weights_rejects_values_beyond_int64():
     # Each fits alone; the shared scale 10**10 pushes the larger out.
     with pytest.raises(InvalidWeight):
         scale_weights(["0.0000000001", "1000000000000"])
+    # Too many digits for str(): the message names the magnitude instead.
+    with pytest.raises(InvalidWeight, match="of about 1e100000 at scale 1e0"):
+        scale_weights(["1e100000"])
+    with pytest.raises(InvalidWeight, match="weight 2 at scale 1e5000"):
+        scale_weights(["1e-5000", "2"])
 
 
 def test_format_weight_roundtrip():
     for scaled, scale, text in [(50, 100, "0.5"), (125, 100, "1.25"), (3, 1, "3"), (200, 100, "2")]:
         assert format_weight(scaled, scale) == text
         assert unscale(scaled, scale) == Fraction(text)
+    # A scale with more digits than str() converts.
+    assert format_weight(3, 10**20000) == "0." + "0" * 19999 + "3"
+    for den, places in [(1, 0), (8, 3), (5**3, 3), (2**7 * 5**3, 7), (10**20000, 20000)]:
+        assert decimal_places(Fraction(1, den)) == places
+    for den in (3, 6, 5**40 * 7, 2 * 5**40 + 1):
+        with pytest.raises(InvalidWeight):
+            decimal_places(Fraction(1, den))
 
 
 def test_build_graph_is_order_independent():
