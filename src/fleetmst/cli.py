@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import statistics
 import sys
 import time
 from collections import Counter
@@ -30,18 +29,48 @@ CSV_HEADER = [
     "phase2_ms",
     "phase3_ms",
     "total_weight",
+    "materialise_ms",
+    "wall_ms",
 ]
 
-ENGINE_ALGOS = list(engine.MODES)
+ENGINE_ALGOS = list(engine.MODES) + ["boruvka"]
+FAMILIES = ["lattice", "lattice8", "gnm", "random_gnm", "complete", "path", "cycle"]
 ALL_ALGOS = ENGINE_ALGOS + ["kruskal", "prim"]
 
 
 def _parse_q(text: str) -> tuple[int, ...]:
-    """Weight set: 'a:b' is the inclusive range, else comma-separated."""
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(t) for t in text.split(","))
+    """Weight set (an argparse type): 'a:b' is the inclusive range, else
+    a comma-separated list; every weight a positive integer."""
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            q = tuple(range(int(lo), int(hi) + 1))
+        else:
+            q = tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'a:b' or a comma list of integers, got {text!r}") from None
+    if not q or min(q) <= 0:
+        raise argparse.ArgumentTypeError(f"expected positive weights, got {text!r}")
+    return q
+
+
+def _parse_grid(text: str) -> list[int]:
+    """Grid sizes (an argparse type): comma-separated integers."""
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _positive(text: str) -> int:
+    """A count of at least 1 (an argparse type)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _spec_from_args(args) -> generators.GenSpec:
@@ -52,13 +81,17 @@ def _spec_from_args(args) -> generators.GenSpec:
         size = {"n": args.n, "m": args.m}
     else:
         size = {"n": args.n}
-    return generators.GenSpec(family=family, size=size, weight_set=_parse_q(args.q), seed=args.seed)
+    return generators.GenSpec(family=family, size=size, weight_set=args.q, seed=args.seed)
 
 
 def cmd_gen(args) -> int:
     spec = _spec_from_args(args)
-    g = spec.build()
-    write_graph(g, args.out, comments=[spec.token()])
+    try:
+        g = spec.build()
+        write_graph(g, args.out, comments=[spec.token()])
+    except (GraphError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {args.out}: n={g.n} m={g.m}")
     return 0
 
@@ -103,9 +136,13 @@ def cmd_build(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     result = _run_algo(g, args.algo)
-    engine.write_tree(result, g.n, args.out)
-    if args.stats:
-        _write_stats(result, g, args.stats)
+    try:
+        engine.write_tree(result, g.n, args.out)
+        if args.stats:
+            _write_stats(result, g, args.stats)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{args.algo}: {len(result.edges)} edges, total {_weight_text(g, result.total)}")
     return 0
 
@@ -170,14 +207,13 @@ def cmd_kvalue(args) -> int:
 
 
 def _bench_row(spec, algo, g, repeats):
-    results = []
-    elapsed = []
+    runs = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         res = _run_algo(g, algo)
-        elapsed.append(time.perf_counter() - t0)
-        results.append(res)
-    res = results[0]
+        runs.append((time.perf_counter() - t0, res))
+    # The median run (the lower one for an even count) gives every column.
+    wall, res = sorted(runs, key=lambda r: r[0])[(len(runs) - 1) // 2]
     phases = res.phase_seconds or {}
     ratio = g.n / res.comparisons if res.comparisons else ""
     return {
@@ -191,20 +227,21 @@ def _bench_row(spec, algo, g, repeats):
         "ratio": f"{ratio:.6f}" if ratio != "" else "",
         "phase1_ms": f"{phases.get('fleet_build', 0) * 1e3:.3f}",
         "phase2_ms": f"{phases.get('node_stage', 0) * 1e3:.3f}",
-        "phase3_ms": f"{statistics.median(elapsed) * 1e3:.3f}"
+        "phase3_ms": f"{wall * 1e3:.3f}"
         if algo not in ENGINE_ALGOS
         else f"{phases.get('merge_rounds', 0) * 1e3:.3f}",
         "total_weight": _weight_text(g, res.total),
+        "materialise_ms": f"{phases.get('materialise', 0) * 1e3:.3f}",
+        "wall_ms": f"{wall * 1e3:.3f}",
     }
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(t) for t in args.grid.split(",")]
     algos = [a.strip() for a in args.algos.split(",")]
-    q = _parse_q(args.q)
+    q = args.q
     rows = []
     failed = 0
-    for size in sizes:
+    for size in args.grid:
         if args.family in ("lattice", "lattice8"):
             spec = generators.GenSpec("lattice8", {"p": size}, q, args.seed)
         elif args.family in ("gnm", "random_gnm"):
@@ -213,7 +250,11 @@ def cmd_bench(args) -> int:
             )
         else:
             spec = generators.GenSpec(args.family, {"n": size}, q, args.seed)
-        g = spec.build()
+        try:
+            g = spec.build()
+        except GraphError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         for algo in algos:
             try:
                 rows.append(_bench_row(spec, algo, g, args.repeats))
@@ -223,10 +264,14 @@ def cmd_bench(args) -> int:
                 row.update(spec=spec.token(), algo=algo, total_weight="FAILED")
                 rows.append(row)
                 failed += 1
-    with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
-        writer.writeheader()
-        writer.writerows(rows)
+    try:
+        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
+            writer.writeheader()
+            writer.writerows(rows)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {len(rows)} rows to {args.csv}")
     if failed:
         print(f"error: {failed} of {len(rows)} rows failed", file=sys.stderr)
@@ -234,18 +279,24 @@ def cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end like every other input error: one line
+    ``error: ...`` on stderr and exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fleetmst", description="MST / graph-clustering benchmark tool"
-    )
+    parser = _Parser(prog="fleetmst", description="MST / graph-clustering benchmark tool")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph file")
-    p.add_argument("family", choices=["lattice", "lattice8", "gnm", "random_gnm", "complete", "path", "cycle"])
+    p.add_argument("family", choices=FAMILIES)
     p.add_argument("--p", type=int, default=10, help="lattice side length")
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--m", type=int, default=32)
-    p.add_argument("--q", default="1:10", help="weight set, 'a:b' range or comma list")
+    p.add_argument("--q", type=_parse_q, default="1:10", help="weight set, 'a:b' range or comma list")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
@@ -263,12 +314,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="benchmark grid, CSV output")
-    p.add_argument("--family", default="lattice")
-    p.add_argument("--grid", required=True, help="comma-separated sizes (p or n)")
+    p.add_argument("--family", choices=FAMILIES, default="lattice")
+    p.add_argument("--grid", type=_parse_grid, required=True, help="comma-separated sizes (p or n)")
     p.add_argument("--algos", default="ooag")
-    p.add_argument("--q", default="1:10")
+    p.add_argument("--q", type=_parse_q, default="1:10")
     p.add_argument("--m", type=int, default=0, help="edge count for gnm")
-    p.add_argument("--repeats", type=int, default=1)
+    p.add_argument("--repeats", type=_positive, default=1)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--csv", required=True)
     p.set_defaults(func=cmd_bench)

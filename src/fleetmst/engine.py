@@ -1,7 +1,16 @@
 """Staged minimum-spanning-forest engine.
 
 The node stage reaps clusters out of the fleet model (beam-seeded, or
-via the inheritance chase, or kernel-seeded).  The cluster stage then
+via the inheritance chase, or kernel-seeded).  The first two are
+defined by ``sequential_stage``, one FIFO reap per cluster in founding
+order, and computed by ``array_stage`` in whole-array steps: beam
+components by hooking and pointer jumping, the founders as a fixpoint of
+min-label passes over the subjection DAG, the picks by a BFS over all
+clusters at once.  Founding order is a lexicographically first greedy
+choice, so no pass count holds on every input: each loop has a budget,
+and past one the sequential reap runs instead.  ``mode="boruvka"``
+skips the node stage (every node its own cluster), as a reference line.
+The cluster stage then
 merges clusters Boruvka-style over one contracting edge list: the first
 round lists every edge that crosses two clusters once, sorted by
 (weight, smaller endpoint, larger endpoint); each round every live
@@ -66,12 +75,13 @@ class Forest:
     """Mutable cluster bookkeeping during one engine execution.
 
     Live cluster ids are always the dense range [base, counter).  The
-    node stage writes ``cluster_list`` and ``parent`` in place and then
-    calls ``invalidate``; ``parent[z] = p`` records that z joined its
-    cluster through the edge {z, p} of weight ``mvc[z]`` (-1: no such
-    pick).  The merge rounds assign ``cluster_of``, keep their
-    contracting edge list here and append the ends and weights of the
-    edges they choose to ``merged``.
+    sequential node stage writes ``cluster_list`` and ``parent`` (a list)
+    in place and then calls ``invalidate``; the array stage assigns
+    ``cluster_of`` and ``parent`` (an array).  ``parent[z] = p`` records
+    that z joined its cluster through the edge {z, p} of weight
+    ``mvc[z]`` (-1: no such pick).  The merge rounds assign
+    ``cluster_of``, keep their contracting edge list here and append the
+    ends and weights of the edges they choose to ``merged``.
     Confined to a single execution context; not thread safe.
     """
 
@@ -82,7 +92,7 @@ class Forest:
         self.base = 0
         self.counter = 0
         self.rounds = 0
-        self.parent: list[int] = [-1] * graph.n
+        self.parent: list[int] | np.ndarray = [-1] * graph.n
         self.mvc = np.zeros(0, dtype=np.int64)  # scaled MVC per node; the node stage sets it
         self.merged: list[tuple[np.ndarray, np.ndarray]] = []  # per round: ends (2, c), scaled w
         self.done: set[int] = set()
@@ -132,7 +142,7 @@ class Forest:
 
     def _columns(self) -> tuple[list[int], list[int], list[int]]:
         """Ends u < v and scaled weights of the picked edges, sorted on (u, v)."""
-        parent = np.array(self.parent, dtype=np.int64)
+        parent = np.asarray(self.parent, dtype=np.int64)
         z = np.flatnonzero(parent >= 0)
         p = parent[z]
         ends = np.concatenate(
@@ -167,11 +177,25 @@ class Forest:
 # ---------------------------------------------------------------------------
 
 
+# Budgets of the array stage.  The founding order is a lexicographically
+# first greedy choice, so no pass count holds on every input; past any of
+# these the stage hands over to the sequential reap, which is exact on all.
+MAX_FOUNDER_ROUNDS = 8
+MAX_LABEL_PASSES = 32
+MAX_JUMPS = 12  # pointer-jumping rounds (trees up to 4096 deep) and hook rounds
+MIN_LEVELS = 1024
+UNITS_PER_LEVEL = 1024  # nodes plus forward arcs per allowed BFS level
+
+
+def _check_model(g: Graph, f: FleetModel) -> None:
+    if f.graph is not g and f.graph != g:
+        raise InconsistentModel("fleet model was not built from this graph")
+
+
 def _attach(g: Graph, f: FleetModel, forest: Optional[Forest]) -> tuple[Forest, dict]:
     """Check that f was built from g; return the forest (a new one when
     None), whose node-stage picks weigh f's MVCs, and f's chase tables."""
-    if f.graph is not g and f.graph != g:
-        raise InconsistentModel("fleet model was not built from this graph")
+    _check_model(g, f)
     if forest is None:
         forest = Forest(g)
     forest.mvc = f.mvc_scaled
@@ -217,30 +241,6 @@ def _claim_isolated(forest: Forest, f: FleetModel) -> None:
             cl[v] = forest.new_cluster()
 
 
-def node_stage(g: Graph, f: FleetModel, forest: Optional[Forest] = None) -> Forest:
-    """Beam-seeded reaping: every still-unclaimed beam pair founds a
-    cluster, which then absorbs its subjection chains and crosses beams
-    peer-to-peer.  Isolated nodes end up as singleton clusters."""
-    forest, tables = _attach(g, f, forest)
-    cl = forest.cluster_list
-    beam_ptr = tables["beam_ptr"]
-    beam_flat = tables["beam_flat"]
-    for a in range(g.n):
-        for i in range(beam_ptr[a], beam_ptr[a + 1]):
-            b = beam_flat[i]
-            if b < a:
-                continue
-            if cl[a] < 0 and cl[b] < 0:
-                cid = forest.new_cluster()
-                cl[a] = cid
-                cl[b] = cid
-                forest.parent[b] = a
-                _reap(forest, tables, deque((a, b)), cid, cross_beams=True)
-    _claim_isolated(forest, f)
-    forest.invalidate()
-    return forest
-
-
 def inheritance_chase(g: Graph, f: FleetModel, start: int, forest: Forest) -> int:
     """Climb from start along towboat/beam links to a flotilla top, then
     reap downward and peer-to-peer exactly as the node stage does.
@@ -282,17 +282,238 @@ def inheritance_chase(g: Graph, f: FleetModel, start: int, forest: Forest) -> in
         x = t
 
 
-def inheritance_stage(g: Graph, f: FleetModel, forest: Optional[Forest] = None) -> Forest:
-    """Node stage driven by the inheritance chase from every unclaimed node."""
-    forest, tables = _attach(g, f, forest)
+def sequential_stage(g: Graph, f: FleetModel, mode: str) -> Forest:
+    """The node stage of ``mode`` as one FIFO reap per cluster, founded
+    from node 0 up: under ``ooag`` every unclaimed node chases to its
+    flotilla top; under ``oag_then_merge`` every still-unclaimed beam pair
+    founds a cluster.  Each cluster absorbs its subjection chains and
+    crosses beams peer-to-peer; isolated nodes become singleton clusters
+    last.  ``array_stage`` reproduces this forest and falls back to it."""
+    forest, tables = _attach(g, f, None)
     cl = forest.cluster_list
-    iso = tables["isolated"]
-    for v in range(g.n):
-        if cl[v] < 0 and not iso[v]:
-            inheritance_chase(g, f, v, forest)
+    if mode == "ooag":
+        iso = tables["isolated"]
+        for v in range(g.n):
+            if cl[v] < 0 and not iso[v]:
+                inheritance_chase(g, f, v, forest)
+    else:
+        beam_ptr = tables["beam_ptr"]
+        beam_flat = tables["beam_flat"]
+        for a in range(g.n):
+            for i in range(beam_ptr[a], beam_ptr[a + 1]):
+                b = beam_flat[i]
+                if b > a and cl[a] < 0 and cl[b] < 0:
+                    cid = forest.new_cluster()
+                    cl[a] = cid
+                    cl[b] = cid
+                    forest.parent[b] = a
+                    _reap(forest, tables, deque((a, b)), cid, cross_beams=True)
     _claim_isolated(forest, f)
     forest.invalidate()
     return forest
+
+
+def _jump(p: np.ndarray, dist: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+    """Pointer jumping: every node of the forest p (roots point at
+    themselves) pointed straight at its root; None when a node lies more
+    than 2**MAX_JUMPS deep.  With ``dist`` (1 per non-root, 0 per root)
+    it becomes each node's distance to its root, in place (list ranking)."""
+    for _ in range(MAX_JUMPS + 1):
+        up = p[p]
+        if np.array_equal(up, p):
+            return p
+        if dist is not None:
+            dist += dist[p]
+        p = up
+    return None
+
+
+def _beam_components(f: FleetModel, beam_src: np.ndarray) -> Optional[np.ndarray]:
+    """Each node's beam component, labelled by its smallest member; None
+    when a budget runs out.  Every node first hooks onto its smallest
+    partner if that is smaller; then, until no beam crosses two roots,
+    each root hooks onto its smallest neighbouring root, and pointer
+    jumping flattens the hooks (Shiloach & Vishkin)."""
+    ptr, partner = f.beam_indptr, f.beam_leaves
+    lab = np.arange(f.n)
+    member = np.flatnonzero(np.diff(ptr))
+    lab[member] = np.minimum(member, partner[ptr[member]])
+    half = beam_src < partner
+    a, b = beam_src[half], partner[half]
+    for _ in range(MAX_JUMPS):
+        lab = _jump(lab)
+        if lab is None:
+            return None
+        la, lb = lab[a], lab[b]
+        cross = la != lb
+        if not cross.any():
+            return lab
+        a, b, la, lb = a[cross], b[cross], la[cross], lb[cross]
+        np.minimum.at(lab, np.maximum(la, lb), np.minimum(la, lb))
+    return None
+
+
+def _min_labels(c: np.ndarray, src: np.ndarray, dst: np.ndarray) -> Optional[np.ndarray]:
+    """The least c over each node and everything downstream of it along
+    the acyclic arcs src -> dst, by synchronous passes; None when that
+    takes more than MAX_LABEL_PASSES passes."""
+    m = c.copy()
+    for _ in range(MAX_LABEL_PASSES):
+        val = m[dst]
+        lower = val < m[src]
+        if not lower.any():
+            return m
+        np.minimum.at(m, src[lower], val[lower])
+    return None
+
+
+def _founders(
+    n: int, nominators: np.ndarray, nominee: np.ndarray, home: np.ndarray, down: tuple
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The founding nominators, ascending, and m: for each component the
+    founder of the earliest-founded component downstream of it.  The
+    fixpoint of: c(B) is the smallest fresh nominator of B; m(u) is the
+    least c downstream of u; v (whose component is ``home``) is fresh iff
+    m(v) >= v.  None when a budget runs out."""
+    fresh = np.ones(nominators.size, dtype=bool)
+    for _ in range(MAX_FOUNDER_ROUNDS):
+        c = np.full(n, n)
+        np.minimum.at(c, nominee[fresh], nominators[fresh])
+        m = _min_labels(c, *down)
+        if m is None:
+            return None
+        now = m[home] >= nominators
+        if np.array_equal(now, fresh):
+            return nominators[fresh], m
+        fresh = now
+    return None
+
+
+def _reap_parents(
+    f: FleetModel, cl: np.ndarray, frontier: np.ndarray, parent: np.ndarray
+) -> Optional[np.ndarray]:
+    """Each node's first claimer in its cluster's FIFO reap, written into
+    ``parent``, by one level-synchronous BFS over all clusters at once.
+    ``frontier`` lists the founding pairs, cluster by cluster.  A node's
+    forward arcs are its reverse-subjection children, then its beam
+    partners, each ascending; the first occurrence of a node in a level
+    claims it.  None past the level budget."""
+    n = f.n
+    rev_ptr, beam_ptr = f.rev_indptr, f.beam_indptr
+    fwd_ptr = rev_ptr + beam_ptr
+    fwd = np.empty(int(fwd_ptr[-1]), dtype=np.int64)
+    fwd[np.arange(f.rev_children.size) + np.repeat(beam_ptr[:-1], np.diff(rev_ptr))] = f.rev_children
+    fwd[np.arange(f.beam_leaves.size) + np.repeat(rev_ptr[1:], np.diff(beam_ptr))] = f.beam_leaves
+    deg = np.diff(fwd_ptr)
+    seen = np.zeros(n, dtype=bool)
+    seen[frontier] = True
+    first = np.full(n, fwd.size)
+    for _ in range(max(MIN_LEVELS, (n + fwd.size) // UNITS_PER_LEVEL)):
+        if not frontier.size:
+            return parent
+        d = deg[frontier]
+        src = np.repeat(frontier, d)
+        dst = fwd[np.repeat(fwd_ptr[frontier] - (np.cumsum(d) - d), d) + np.arange(src.size)]
+        keep = ~seen[dst] & (cl[dst] == cl[src])
+        src, dst = src[keep], dst[keep]
+        pos = np.arange(dst.size)
+        np.minimum.at(first, dst, pos)
+        won = first[dst] == pos
+        first[dst] = fwd.size
+        frontier = dst[won]
+        parent[frontier] = src[won]
+        seen[frontier] = True
+    return None
+
+
+def array_stage(g: Graph, f: FleetModel, mode: str) -> Optional[Forest]:
+    """The forest of ``sequential_stage(g, f, mode)`` in whole-array
+    steps, or None when a step would run past its budget.
+
+    Beams join equal-MVC nodes; contracted to their beam components,
+    the strict subjection arcs r -> l form a DAG along which MVC falls.
+    A founder claims every unclaimed node upstream of its component, so
+    each node ends in the earliest-founded component downstream of it.
+    Under ``ooag`` every node nominates the component at the top of its
+    target chain, under ``oag_then_merge`` every beam member its own;
+    ``_founders`` finds who founds.  Founders in id order give the
+    cluster ids, and ``_reap_parents`` the picks.
+    """
+    _check_model(g, f)
+    n = g.n
+    ids = np.arange(n)
+    iso = f.isolated
+    comp = _beam_components(f, np.repeat(ids, np.diff(f.beam_indptr)))
+    if comp is None:
+        return None
+    down = (comp[f.rev_children], comp[np.repeat(ids, np.diff(f.rev_indptr))])
+
+    if mode == "ooag":
+        nominators = np.flatnonzero(~iso)
+        t = f.target[nominators]
+        climb = nominators[f.mvc_scaled[t] != f.mvc_scaled[nominators]]
+        top = ids.copy()
+        top[climb] = f.target[climb]
+        chain = np.zeros(n, dtype=np.int64)
+        chain[climb] = 1
+        top = _jump(top, chain)
+        if top is None:
+            return None
+        nominee = comp[top[nominators]]
+    else:
+        nominators = np.flatnonzero(np.diff(f.beam_indptr))
+        nominee = comp[nominators]
+    found = _founders(n, nominators, nominee, comp[nominators], down)
+    if found is None:
+        return None
+    founders, m = found
+
+    k = founders.size
+    order = np.empty(n, dtype=np.int64)
+    order[founders] = np.arange(k)
+    cl = np.empty(n, dtype=np.int64)
+    cl[~iso] = order[m[comp[~iso]]]
+    isolated = np.flatnonzero(iso)
+    cl[isolated] = k + np.arange(isolated.size)
+
+    touches = f.rev_children.size + f.beam_leaves.size
+    parent = np.full(n, -1)
+    if mode == "ooag":
+        a = top[founders]
+        b = f.target[a]
+        parent[a] = b
+        touches += int(chain[founders].sum()) + k
+    else:
+        a = founders
+        b = f.beam_leaves[f.beam_indptr[a]]
+        parent[b] = a
+    if _reap_parents(f, cl, np.stack((a, b), axis=1).ravel(), parent) is None:
+        return None
+
+    forest = Forest(g)
+    forest.mvc = f.mvc_scaled
+    forest.cluster_of = cl
+    forest.parent = parent
+    forest.counter = k + isolated.size
+    forest.node_arc_touches = touches
+    return forest
+
+
+def _stage(g: Graph, f: FleetModel, mode: str) -> Forest:
+    forest = array_stage(g, f, mode)
+    return sequential_stage(g, f, mode) if forest is None else forest
+
+
+def node_stage(g: Graph, f: FleetModel) -> Forest:
+    """Beam-seeded reaping: every still-unclaimed beam pair founds a
+    cluster, which then absorbs its subjection chains and crosses beams
+    peer-to-peer.  Isolated nodes end up as singleton clusters."""
+    return _stage(g, f, "oag_then_merge")
+
+
+def inheritance_stage(g: Graph, f: FleetModel) -> Forest:
+    """Node stage driven by the inheritance chase from every unclaimed node."""
+    return _stage(g, f, "ooag")
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +623,17 @@ def run(g: Graph, mode: str = "ooag", melioration: bool = True) -> MstResult:
     """Full execution: fleet build, node stage per mode, merge rounds,
     then the picked edges and their total (the ``materialise`` phase).
 
-    ``melioration=False`` keeps every edge in the list, so each round
-    rescans all 2m arcs; the output is the same either way."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    ``mode="boruvka"`` is the reference line: no fleet model, every node
+    starts as its own cluster (k = n) and the merge rounds do all the
+    work.  ``melioration=False`` keeps every edge in the list, so each
+    round rescans all 2m arcs; the output is the same either way."""
+    known = MODES + ("boruvka",)
+    if mode not in known:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {known}")
     phases: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    f = build_fleet(g)
+    f = None if mode == "boruvka" else build_fleet(g)
     phases["fleet_build"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -417,6 +641,10 @@ def run(g: Graph, mode: str = "ooag", melioration: bool = True) -> MstResult:
         forest = node_stage(g, f)
     elif mode == "ooag":
         forest = inheritance_stage(g, f)
+    elif mode == "boruvka":
+        forest = Forest(g)
+        forest.cluster_of = np.arange(g.n)
+        forest.counter = g.n
     else:
         from .kernels import detect_kernels, koag_seed
 
@@ -444,7 +672,7 @@ def run(g: Graph, mode: str = "ooag", melioration: bool = True) -> MstResult:
         rounds=forest.rounds,
         comparisons=forest.comparisons,
         per_round=forest.per_round,
-        node_arc_touches=forest.node_arc_touches + f.arc_touches,
+        node_arc_touches=forest.node_arc_touches + (f.arc_touches if f else 0),
         mode=mode,
         phase_seconds=phases,
     )

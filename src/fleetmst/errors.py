@@ -51,6 +51,10 @@ class TooManyEdges(GraphError):
     pass
 
 
+class InvalidSize(GraphError, ValueError):
+    """A generator size out of range, such as a lattice side below 2."""
+
+
 class IsolatedNode(GraphError):
     pass
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import TooLarge, TooManyEdges
+from .errors import InvalidSize, TooLarge, TooManyEdges
 from .graph import Graph, graph_from_arrays, scale_weights
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -66,6 +66,11 @@ class GenSpec:
         raise ValueError(f"unknown family {self.family!r}")
 
 
+def _at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise InvalidSize(f"{name} must be >= {least}, got {value}")
+
+
 def _weights_for(count: int, weight_set: Sequence, seed: int) -> tuple[np.ndarray, int]:
     scaled, scale = scale_weights(list(weight_set))
     draws = splitmix_stream(seed, count) % np.uint64(len(scaled))
@@ -79,8 +84,7 @@ def lattice8(p: int, weight_set: Sequence, seed: int) -> Graph:
     order E, S, SE, SW so weight assignment is reproducible; the edge
     count is 4p^2 - 6p + 2.
     """
-    if p < 2:
-        raise ValueError(f"lattice side must be >= 2, got {p}")
+    _at_least("lattice side", p, 2)
     if p * p > 2**31:
         raise TooLarge(f"lattice p={p} would overflow node ids")
     n = p * p
@@ -107,6 +111,8 @@ def lattice8(p: int, weight_set: Sequence, seed: int) -> Graph:
 
 def random_gnm(n: int, m: int, weight_set: Sequence, seed: int) -> Graph:
     """Uniform-ish simple graph with exactly m edges, reproducible."""
+    _at_least("n", n, 0)
+    _at_least("m", m, 0)
     limit = n * (n - 1) // 2
     if m > limit:
         raise TooManyEdges(f"m={m} exceeds {limit} for n={n}")
@@ -133,6 +139,7 @@ def random_gnm(n: int, m: int, weight_set: Sequence, seed: int) -> Graph:
 
 
 def complete(n: int, weight_set: Sequence, seed: int) -> Graph:
+    _at_least("n", n, 0)
     iu = np.triu_indices(n, k=1)
     u = iu[0].astype(np.int64)
     v = iu[1].astype(np.int64)
@@ -141,6 +148,7 @@ def complete(n: int, weight_set: Sequence, seed: int) -> Graph:
 
 
 def path(n: int, weight_set: Sequence, seed: int) -> Graph:
+    _at_least("n", n, 0)
     u = np.arange(n - 1, dtype=np.int64) if n > 1 else np.empty(0, np.int64)
     v = u + 1
     w, scale = _weights_for(u.size, weight_set, seed)

@@ -22,7 +22,7 @@ def test_gen_q_comma_list(tmp_path):
     assert {w for _, _, w in g.edge_list()} <= {2, 7}
 
 
-@pytest.mark.parametrize("algo", ["oag_then_merge", "ooag", "koag_seeded", "kruskal", "prim"])
+@pytest.mark.parametrize("algo", ["oag_then_merge", "ooag", "koag_seeded", "boruvka", "kruskal", "prim"])
 def test_build_and_verify_roundtrip(tmp_path, algo):
     gpath = tmp_path / "g.txt"
     tpath = tmp_path / "t.txt"
@@ -168,6 +168,50 @@ def test_bench_csv_shape(tmp_path):
     for row in body:
         by_spec.setdefault(row["spec"], set()).add(row["total_weight"])
     assert all(len(totals) == 1 for totals in by_spec.values())
+
+
+def test_bench_wall_time_covers_the_phases(tmp_path):
+    out = tmp_path / "bench.csv"
+    algos = ["ooag", "oag_then_merge", "koag_seeded", "boruvka", "kruskal"]
+    rc = main(["bench", "--grid", "12", "--algos", ",".join(algos), "--repeats", "3", "--csv", str(out)])
+    assert rc == 0
+    rows = list(csv.DictReader(open(out, newline="")))
+    assert [r["algo"] for r in rows] == algos
+    for row in rows:
+        phases = sum(float(row[c]) for c in ("phase1_ms", "phase2_ms", "phase3_ms", "materialise_ms"))
+        if row["algo"] in engine.MODES + ("boruvka",):
+            assert 0 < phases <= float(row["wall_ms"]), row
+        else:
+            assert row["phase3_ms"] == row["wall_ms"], row
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "lattice", "--q", "x:y", "--out", "{tmp}/g.txt"],
+        ["gen", "lattice", "--q", "1,1.5", "--out", "{tmp}/g.txt"],
+        ["gen", "lattice", "--q", "0:3", "--out", "{tmp}/g.txt"],
+        ["gen", "lattice", "--p", "-3", "--out", "{tmp}/g.txt"],
+        ["gen", "gnm", "--n", "5", "--m", "100", "--out", "{tmp}/g.txt"],
+        ["gen", "lattice", "--p", "3", "--out", "{tmp}/missing/g.txt"],
+        ["build", "{tmp}/g3.txt", "--out", "{tmp}/missing/t.txt"],
+        ["build", "{tmp}/g3.txt", "--out", "{tmp}/t.txt", "--stats", "{tmp}/missing/s.txt"],
+        ["bench", "--grid", "3", "--csv", "{tmp}/missing/b.csv"],
+        ["bench", "--grid", "5,x", "--csv", "{tmp}/b.csv"],
+        ["bench", "--grid", "3", "--repeats", "0", "--csv", "{tmp}/b.csv"],
+        ["bench", "--family", "hypercube", "--grid", "3", "--csv", "{tmp}/b.csv"],
+    ],
+)
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    main(["gen", "lattice", "--p", "3", "--out", str(tmp_path / "g3.txt")])
+    capsys.readouterr()
+    try:
+        rc = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    except SystemExit as exc:  # argparse rejects the value
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_kvalue_output(tmp_path, capsys):
