@@ -17,7 +17,6 @@ from .baselines import (
 from .engine import (
     Forest,
     MstResult,
-    inheritance_chase,
     merge_round,
     node_stage,
     run,
@@ -62,7 +61,6 @@ __all__ = [
     "cycle",
     "detect_kernels",
     "flotillas",
-    "inheritance_chase",
     "k_value",
     "koag_seed",
     "kruskal",

@@ -1,15 +1,16 @@
 """Staged minimum-spanning-forest engine.
 
-The node stage reaps clusters out of the fleet model (beam-seeded, or
-via the inheritance chase, or kernel-seeded).  The first two are
-defined by ``sequential_stage``, one FIFO reap per cluster in founding
-order, and computed by ``array_stage`` in whole-array steps: beam
-components by hooking and pointer jumping, the founders as a fixpoint of
-min-label passes over the subjection DAG, the picks by a BFS over all
-clusters at once.  Founding order is a lexicographically first greedy
-choice, so no pass count holds on every input: each loop has a budget,
-and past one the sequential reap runs instead.  ``mode="boruvka"``
-skips the node stage (every node its own cluster), as a reference line.
+The node stage reaps clusters out of the fleet model: beam-seeded
+(``oag_then_merge``), from each node's flotilla top (``ooag``), or
+kernel-seeded (``koag_seeded``).  ``sequential_stage`` defines all
+three, one FIFO reap per cluster in founding order.  ``array_stage``
+computes the first two in whole-array steps: beam components by hooking
+and pointer jumping, the founders as a fixpoint of min-label passes over
+the subjection DAG, the picks by a BFS over all clusters at once.
+Founding order is a lexicographically first greedy choice, so no pass
+count holds on every input: each loop has a budget, and past one the
+sequential reap runs instead.  ``mode="boruvka"`` skips the node stage
+(every node its own cluster), as a reference line.
 The cluster stage then
 merges clusters Boruvka-style over one contracting edge list: the first
 round lists every edge that crosses two clusters once, sorted by
@@ -43,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AlreadyClaimed, InconsistentModel, NoProgress
+from .errors import InconsistentModel, NoProgress
 from .fleet import FleetModel, build_fleet
 from .graph import Graph, Weight, decimal_places, format_weight
 
@@ -72,28 +73,25 @@ class MstResult:
 
 
 class Forest:
-    """Mutable cluster bookkeeping during one engine execution.
+    """Cluster bookkeeping during one engine execution.
 
-    Live cluster ids are always the dense range [base, counter).  The
-    sequential node stage writes ``cluster_list`` and ``parent`` (a list)
-    in place and then calls ``invalidate``; the array stage assigns
-    ``cluster_of`` and ``parent`` (an array).  ``parent[z] = p`` records
-    that z joined its cluster through the edge {z, p} of weight
-    ``mvc[z]`` (-1: no such pick).  The merge rounds assign
-    ``cluster_of``, keep their contracting edge list here and append the
-    ends and weights of the edges they choose to ``merged``.
+    Live cluster ids are always the dense range [base, counter);
+    ``cluster_of`` holds each node's current id.  ``parent[z] = p``
+    records that the node stage joined z to its cluster through the edge
+    {z, p} of weight ``mvc[z]`` (-1: no such pick).  The merge rounds
+    assign ``cluster_of``, keep their contracting edge list here and
+    append the ends and weights of the edges they choose to ``merged``.
     Confined to a single execution context; not thread safe.
     """
 
-    def __init__(self, graph: Graph):
+    def __init__(self, graph: Graph, cluster_of: np.ndarray, parent: np.ndarray, mvc: np.ndarray):
         self.graph = graph
-        self._cluster_list: Optional[list[int]] = [-1] * graph.n
-        self._cluster_np: Optional[np.ndarray] = None
+        self.cluster_of = cluster_of
+        self.parent = parent
+        self.mvc = mvc  # scaled MVC per node
         self.base = 0
-        self.counter = 0
+        self.counter = int(cluster_of.max(initial=-1)) + 1
         self.rounds = 0
-        self.parent: list[int] | np.ndarray = [-1] * graph.n
-        self.mvc = np.zeros(0, dtype=np.int64)  # scaled MVC per node; the node stage sets it
         self.merged: list[tuple[np.ndarray, np.ndarray]] = []  # per round: ends (2, c), scaled w
         self.done: set[int] = set()
         self.melioration = True
@@ -108,43 +106,20 @@ class Forest:
 
     # -- cluster ids -----------------------------------------------------
 
-    def new_cluster(self) -> int:
-        cid = self.counter
-        self.counter += 1
-        return cid
-
     @property
     def cluster_list(self) -> list[int]:
-        if self._cluster_list is None:
-            self._cluster_list = self._cluster_np.tolist()
-        return self._cluster_list
-
-    @property
-    def cluster_of(self) -> np.ndarray:
-        if self._cluster_np is None:
-            self._cluster_np = np.array(self._cluster_list, dtype=np.int64)
-        return self._cluster_np
-
-    @cluster_of.setter
-    def cluster_of(self, arr: np.ndarray) -> None:
-        self._cluster_np = arr
-        self._cluster_list = None
+        return self.cluster_of.tolist()
 
     @property
     def cluster_count(self) -> int:
         return self.counter - self.base
 
-    def invalidate(self) -> None:
-        """Call after writing ``cluster_list`` directly."""
-        self._cluster_np = None
-
     # -- picked edges ----------------------------------------------------
 
     def _columns(self) -> tuple[list[int], list[int], list[int]]:
         """Ends u < v and scaled weights of the picked edges, sorted on (u, v)."""
-        parent = np.asarray(self.parent, dtype=np.int64)
-        z = np.flatnonzero(parent >= 0)
-        p = parent[z]
+        z = np.flatnonzero(self.parent >= 0)
+        p = self.parent[z]
         ends = np.concatenate(
             [np.stack((np.minimum(z, p), np.maximum(z, p)))] + [e for e, _ in self.merged], axis=1
         )
@@ -192,124 +167,96 @@ def _check_model(g: Graph, f: FleetModel) -> None:
         raise InconsistentModel("fleet model was not built from this graph")
 
 
-def _attach(g: Graph, f: FleetModel, forest: Optional[Forest]) -> tuple[Forest, dict]:
-    """Check that f was built from g; return the forest (a new one when
-    None), whose node-stage picks weigh f's MVCs, and f's chase tables."""
+def sequential_stage(g: Graph, f: FleetModel, mode: str, kernels=()) -> Forest:
+    """The node stage of ``mode`` as one FIFO reap per cluster, in
+    founding order.  Each of ``kernels`` (whole beam components) founds a
+    cluster first: a BFS along its beams from its smallest member, then
+    a reap of its subjection chains without beam crossing.  Then, from
+    node 0 up: under ``ooag`` every unclaimed non-isolated node climbs
+    its target chain to its flotilla top and founds a cluster on that
+    beam; in the other modes every beam with both ends free founds a
+    cluster, and a beam with one claimed end joins that end's cluster.
+    These reaps cross beams peer-to-peer.  The nodes left unclaimed,
+    exactly the isolated ones, become singleton clusters last.
+    ``array_stage`` reproduces this forest for ``ooag`` and
+    ``oag_then_merge`` and falls back to it."""
     _check_model(g, f)
-    if forest is None:
-        forest = Forest(g)
-    forest.mvc = f.mvc_scaled
-    return forest, f.chase_tables()
-
-
-def _reap(forest: Forest, tables: dict, queue: deque, cid: int, cross_beams: bool) -> None:
-    """Claim everything reachable from the queue by reverse-subjection
-    arcs (cluster absorbs whoever subjects to it) and, optionally,
-    peer-to-peer beam crossings.  Already-claimed nodes are skipped,
-    which is the cycle guard."""
-    cl = forest.cluster_list
-    parent = forest.parent
-    rev_ptr = tables["rev_ptr"]
-    rev_flat = tables["rev_flat"]
-    beam_ptr = tables["beam_ptr"]
-    beam_flat = tables["beam_flat"]
+    t = f.chase_tables()
+    rev_ptr, rev_flat = t["rev_ptr"], t["rev_flat"]
+    beam_ptr, beam_flat = t["beam_ptr"], t["beam_flat"]
+    cl = [-1] * g.n
+    parent = [-1] * g.n
     touches = 0
-    while queue:
-        y = queue.popleft()
-        for i in range(rev_ptr[y], rev_ptr[y + 1]):
-            touches += 1
-            r = rev_flat[i]
-            if cl[r] < 0:
-                cl[r] = cid
-                parent[r] = y
-                queue.append(r)
-        if cross_beams:
-            for i in range(beam_ptr[y], beam_ptr[y + 1]):
-                touches += 1
-                b = beam_flat[i]
+    k = 0  # clusters founded so far
+
+    def reap(seeds, cross_beams=True):
+        """Claim for the seeds' cluster everything reachable from them by
+        reverse-subjection arcs (a cluster absorbs whoever subjects to
+        it) and, optionally, beam crossings.  Already-claimed nodes are
+        skipped, which is the cycle guard."""
+        nonlocal touches
+        cid = cl[seeds[0]]
+        queue = deque(seeds)
+        while queue:
+            y = queue.popleft()
+            arcs = rev_flat[rev_ptr[y] : rev_ptr[y + 1]]
+            if cross_beams:
+                arcs += beam_flat[beam_ptr[y] : beam_ptr[y + 1]]
+            touches += len(arcs)
+            for r in arcs:
+                if cl[r] < 0:
+                    cl[r] = cid
+                    parent[r] = y
+                    queue.append(r)
+
+    for kernel in kernels:
+        cl[kernel[0]] = k
+        queue = deque(kernel[:1])
+        while queue:
+            y = queue.popleft()
+            for b in beam_flat[beam_ptr[y] : beam_ptr[y + 1]]:
                 if cl[b] < 0:
-                    cl[b] = cid
+                    cl[b] = k
                     parent[b] = y
                     queue.append(b)
-    forest.node_arc_touches += touches
+        reap(kernel, cross_beams=False)
+        k += 1
 
-
-def _claim_isolated(forest: Forest, f: FleetModel) -> None:
-    cl = forest.cluster_list
-    for v in np.flatnonzero(f.isolated).tolist():
-        if cl[v] < 0:
-            cl[v] = forest.new_cluster()
-
-
-def inheritance_chase(g: Graph, f: FleetModel, start: int, forest: Forest) -> int:
-    """Climb from start along towboat/beam links to a flotilla top, then
-    reap downward and peer-to-peer exactly as the node stage does.
-
-    The upward moves never pick edges; they only relocate the inheritor,
-    so the invert pitfall cannot occur.  Returns the cluster id that
-    ends up owning start."""
-    forest, tables = _attach(g, f, forest)
-    g._check_id(start)
-    if forest.cluster_list[start] >= 0:
-        raise AlreadyClaimed(f"node {start} already belongs to a cluster")
-    cl = forest.cluster_list
-    if tables["isolated"][start]:
-        cid = forest.new_cluster()
-        cl[start] = cid
-        return cid
-    target = tables["target"]
-    mvc = tables["mvc"]
-
-    x = start
-    while True:
-        t = target[x]
-        forest.node_arc_touches += 1
-        if cl[t] >= 0:
-            # Climb hits claimed territory: that cluster absorbs x.
-            cid = cl[t]
-            cl[x] = cid
-            forest.parent[x] = t
-            _reap(forest, tables, deque((x,)), cid, cross_beams=True)
-            return cl[start]
-        if mvc[t] == mvc[x]:
-            # The edge to the target is a beam: we are at a top.
-            cid = forest.new_cluster()
-            cl[x] = cid
-            cl[t] = cid
-            forest.parent[x] = t
-            _reap(forest, tables, deque((x, t)), cid, cross_beams=True)
-            return cl[start]
-        x = t
-
-
-def sequential_stage(g: Graph, f: FleetModel, mode: str) -> Forest:
-    """The node stage of ``mode`` as one FIFO reap per cluster, founded
-    from node 0 up: under ``ooag`` every unclaimed node chases to its
-    flotilla top; under ``oag_then_merge`` every still-unclaimed beam pair
-    founds a cluster.  Each cluster absorbs its subjection chains and
-    crosses beams peer-to-peer; isolated nodes become singleton clusters
-    last.  ``array_stage`` reproduces this forest and falls back to it."""
-    forest, tables = _attach(g, f, None)
-    cl = forest.cluster_list
     if mode == "ooag":
-        iso = tables["isolated"]
+        target, mvc, iso = t["target"], t["mvc"], t["isolated"]
         for v in range(g.n):
-            if cl[v] < 0 and not iso[v]:
-                inheritance_chase(g, f, v, forest)
+            if cl[v] >= 0 or iso[v]:
+                continue
+            x, y = v, target[v]
+            touches += 1
+            while mvc[y] != mvc[x]:  # climb until the edge to the target is a beam
+                x, y = y, target[y]
+                touches += 1
+            cl[x] = cl[y] = k
+            parent[x] = y
+            reap((x, y))
+            k += 1
     else:
-        beam_ptr = tables["beam_ptr"]
-        beam_flat = tables["beam_flat"]
         for a in range(g.n):
-            for i in range(beam_ptr[a], beam_ptr[a + 1]):
-                b = beam_flat[i]
-                if b > a and cl[a] < 0 and cl[b] < 0:
-                    cid = forest.new_cluster()
-                    cl[a] = cid
-                    cl[b] = cid
-                    forest.parent[b] = a
-                    _reap(forest, tables, deque((a, b)), cid, cross_beams=True)
-    _claim_isolated(forest, f)
-    forest.invalidate()
+            for b in beam_flat[beam_ptr[a] : beam_ptr[a + 1]]:
+                if b < a:
+                    continue
+                if cl[a] < 0 and cl[b] < 0:
+                    cl[a] = cl[b] = k
+                    parent[b] = a
+                    reap((a, b))
+                    k += 1
+                elif cl[a] < 0 or cl[b] < 0:
+                    claimed, free = (a, b) if cl[a] >= 0 else (b, a)
+                    cl[free] = cl[claimed]
+                    parent[free] = claimed
+                    reap((free,))
+
+    cluster_of = np.array(cl, dtype=np.int64)
+    free = np.flatnonzero(cluster_of < 0)
+    cluster_of[free] = k + np.arange(free.size)
+    forest = Forest(g, cluster_of, np.array(parent, dtype=np.int64), f.mvc_scaled)
+    forest.node_arc_touches = touches
     return forest
 
 
@@ -490,11 +437,7 @@ def array_stage(g: Graph, f: FleetModel, mode: str) -> Optional[Forest]:
     if _reap_parents(f, cl, np.stack((a, b), axis=1).ravel(), parent) is None:
         return None
 
-    forest = Forest(g)
-    forest.mvc = f.mvc_scaled
-    forest.cluster_of = cl
-    forest.parent = parent
-    forest.counter = k + isolated.size
+    forest = Forest(g, cl, parent, f.mvc_scaled)
     forest.node_arc_touches = touches
     return forest
 
@@ -642,9 +585,7 @@ def run(g: Graph, mode: str = "ooag", melioration: bool = True) -> MstResult:
     elif mode == "ooag":
         forest = inheritance_stage(g, f)
     elif mode == "boruvka":
-        forest = Forest(g)
-        forest.cluster_of = np.arange(g.n)
-        forest.counter = g.n
+        forest = Forest(g, np.arange(g.n), np.full(g.n, -1), np.zeros(0, dtype=np.int64))
     else:
         from .kernels import detect_kernels, koag_seed
 

@@ -59,10 +59,6 @@ class IsolatedNode(GraphError):
     pass
 
 
-class AlreadyClaimed(GraphError):
-    pass
-
-
 class InconsistentModel(GraphError):
     pass
 

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
-import numpy as np
-
-from .engine import Forest, _attach, _claim_isolated, _reap
+from .engine import Forest, sequential_stage
 from .fleet import FleetModel
 from .graph import Graph
 
@@ -26,7 +23,6 @@ class KernelReport:
     k: int
     arc_touches: int
     strict: bool = False
-    seeded_forest: Optional[Forest] = None
 
 
 def detect_kernels(f: FleetModel, strict: bool = False) -> KernelReport:
@@ -79,50 +75,4 @@ def koag_seed(g: Graph, f: FleetModel, report: KernelReport) -> Forest:
     not reachable that way (components whose beams were all abandoned,
     or beams shielded behind their own mutual targets) fall back to
     plain beam seeding so coverage is preserved."""
-    forest, tables = _attach(g, f, None)
-    cl = forest.cluster_list
-    parent = forest.parent
-    beam_ptr = tables["beam_ptr"]
-    beam_flat = tables["beam_flat"]
-
-    for kernel in report.kernels:
-        cid = forest.new_cluster()
-        kset = set(kernel)
-        root = kernel[0]
-        cl[root] = cid
-        queue = deque((root,))
-        # Spanning tree of the kernel along its own beam links.
-        while queue:
-            y = queue.popleft()
-            for i in range(beam_ptr[y], beam_ptr[y + 1]):
-                b = beam_flat[i]
-                if b in kset and cl[b] < 0:
-                    cl[b] = cid
-                    parent[b] = y
-                    queue.append(b)
-        _reap(forest, tables, deque(kernel), cid, cross_beams=False)
-
-    # Fallback: beam-seed whatever the top-down sweep could not reach.
-    # A half-claimed beam is crossed peer-to-peer instead of seeded.
-    for a in range(g.n):
-        for i in range(beam_ptr[a], beam_ptr[a + 1]):
-            b = beam_flat[i]
-            if b < a:
-                continue
-            if cl[a] < 0 and cl[b] < 0:
-                cid = forest.new_cluster()
-                cl[a] = cid
-                cl[b] = cid
-                parent[b] = a
-                _reap(forest, tables, deque((a, b)), cid, cross_beams=True)
-            elif cl[a] < 0 or cl[b] < 0:
-                claimed, fresh = (a, b) if cl[a] >= 0 else (b, a)
-                cid = cl[claimed]
-                cl[fresh] = cid
-                parent[fresh] = claimed
-                _reap(forest, tables, deque((fresh,)), cid, cross_beams=True)
-
-    _claim_isolated(forest, f)
-    forest.invalidate()
-    report.seeded_forest = forest
-    return forest
+    return sequential_stage(g, f, "koag_seeded", report.kernels)

@@ -7,18 +7,17 @@ import pytest
 from fleetmst import engine
 from fleetmst.baselines import kruskal
 from fleetmst.engine import (
-    Forest,
-    inheritance_chase,
     inheritance_stage,
     merge_round,
     node_stage,
     run,
     write_tree,
 )
-from fleetmst.errors import AlreadyClaimed, InconsistentModel
+from fleetmst.errors import InconsistentModel
 from fleetmst.fleet import build_fleet
 from fleetmst.generators import lattice8, random_gnm
 from fleetmst.graph import build_graph, graph_from_arrays
+from fleetmst.kernels import detect_kernels, koag_seed
 
 TWO_TRIANGLES = build_graph(
     6,
@@ -34,15 +33,35 @@ TWO_TRIANGLES = build_graph(
 )
 
 
+NODE_STAGES = {
+    "sequential ooag": lambda g, f: engine.sequential_stage(g, f, "ooag"),
+    "sequential oag_then_merge": lambda g, f: engine.sequential_stage(g, f, "oag_then_merge"),
+    "koag_seed": lambda g, f: koag_seed(g, f, detect_kernels(f)),
+    "array ooag": lambda g, f: engine.array_stage(g, f, "ooag"),
+    "array oag_then_merge": lambda g, f: engine.array_stage(g, f, "oag_then_merge"),
+}
+
+
 def test_node_stage_reaps_both_triangles():
-    f = build_fleet(TWO_TRIANGLES)
-    forest = node_stage(TWO_TRIANGLES, f)
-    assert forest.cluster_count == 2
-    assert len(forest.picked) == 4
-    cl = forest.cluster_list
-    assert cl[0] == cl[1] == cl[2]
-    assert cl[3] == cl[4] == cl[5]
-    assert cl[0] != cl[3]
+    """Every node stage, sequential or array, reaps each triangle whole
+    from its beam."""
+    for name, stage in NODE_STAGES.items():
+        forest = stage(TWO_TRIANGLES, build_fleet(TWO_TRIANGLES))
+        assert forest.cluster_count == 2, name
+        assert len(forest.picked) == 4, name
+        cl = forest.cluster_list
+        assert cl[0] == cl[1] == cl[2], name
+        assert cl[3] == cl[4] == cl[5], name
+        assert cl[0] != cl[3], name
+
+
+def test_node_stage_gives_isolated_nodes_the_last_ids():
+    g = build_graph(3, [(0, 1, 1)])
+    for name, stage in NODE_STAGES.items():
+        forest = stage(g, build_fleet(g))
+        assert forest.cluster_list == [0, 0, 1], name
+        assert forest.parent[2] == -1, name
+        assert forest.picked == [(0, 1, 1)], name
 
 
 def test_full_run_picks_the_bridge_last():
@@ -63,26 +82,6 @@ def test_equal_weight_cycle_drops_exactly_one_edge():
         assert len(res.edges) == 3
         assert res.k_after_node_stage == 1
         assert res.rounds == 0
-
-
-def test_inheritance_chase_attaches_to_claimed_territory():
-    f = build_fleet(TWO_TRIANGLES)
-    forest = Forest(TWO_TRIANGLES)
-    cid = inheritance_chase(TWO_TRIANGLES, f, 2, forest)
-    assert forest.cluster_list[2] == cid
-    # The chase climbed to the (0, 1) beam and reaped the triangle.
-    assert forest.cluster_list[0] == forest.cluster_list[1] == cid
-    with pytest.raises(AlreadyClaimed):
-        inheritance_chase(TWO_TRIANGLES, f, 2, forest)
-
-
-def test_inheritance_chase_isolated_singleton():
-    g = build_graph(3, [(0, 1, 1)])
-    f = build_fleet(g)
-    forest = Forest(g)
-    cid = inheritance_chase(g, f, 2, forest)
-    assert forest.cluster_list[2] == cid
-    assert forest.picked == []
 
 
 def test_inheritance_stage_matches_node_stage_totals():

@@ -1,9 +1,14 @@
+import hashlib
+
+import numpy as np
+
 from fleetmst.baselines import kruskal, verify_spanning_forest
 from fleetmst.engine import run
 from fleetmst.fleet import build_fleet
 from fleetmst.generators import random_gnm
 from fleetmst.graph import build_graph
 from fleetmst.kernels import detect_kernels, k_value, koag_seed
+from test_array_stage import bench_lattices
 
 TWO_TRIANGLES = build_graph(
     6,
@@ -68,7 +73,32 @@ def test_koag_seed_claims_every_node():
         rep = detect_kernels(f)
         forest = koag_seed(g, f, rep)
         assert all(c >= 0 for c in forest.cluster_list)
-        assert rep.seeded_forest is forest
+
+
+# koag_seed's forest on each benchmark lattice: counter, node_arc_touches
+# and the first 16 hex digits of the sha256 of parent and of cluster_of
+# (int64).  No array stage covers koag_seeded, so this pins it exactly.
+KOAG_FORESTS = [
+    (8198, 19917, "059c2cc81bcf7dce", "ab2416fef7bec9be"),
+    (8256, 19954, "38848719a25b56c6", "9d57c93aebf175a9"),
+    (8198, 19947, "ccf86649db4aea1f", "cae547ace1f95e0b"),
+    (8209, 20223, "ee91a85ebb481f15", "f901001f6bafaac9"),
+    (8, 1357, "ddb629165f797878", "15c0253ea1510373"),
+    (12, 1294, "131bcfcabbb4251f", "56f28a34bae45d98"),
+    (4, 1262, "f42484a95e3e91a2", "629bcd9d23b91c5e"),
+    (9, 1279, "1bde36d32c716d28", "b516a7918d24c307"),
+]
+
+
+def test_koag_seed_forest_is_pinned_on_the_bench_lattices():
+    def digest(a):
+        return hashlib.sha256(np.asarray(a, dtype=np.int64).tobytes()).hexdigest()[:16]
+
+    for g, want in zip(bench_lattices(), KOAG_FORESTS):
+        f = build_fleet(g)
+        forest = koag_seed(g, f, detect_kernels(f))
+        got = (forest.counter, forest.node_arc_touches, digest(forest.parent), digest(forest.cluster_of))
+        assert got == want
 
 
 def test_koag_mode_produces_minimum_forests():
