@@ -9,7 +9,8 @@ import argparse
 import csv
 import sys
 import time
-from collections import Counter
+
+import numpy as np
 
 from . import baselines, engine, generators, kernels
 from .errors import GraphError, InvalidWeight, ParseError
@@ -197,8 +198,8 @@ def cmd_kvalue(args) -> int:
         return 2
     report = kernels.detect_kernels(build_fleet(g), strict=args.strict)
     print(f"k={report.k}")
-    hist = Counter(len(k) for k in report.kernels)
-    for size in sorted(hist):
+    hist = np.bincount(report.sizes)
+    for size in np.flatnonzero(hist).tolist():
         print(f"size {size}: {hist[size]} kernels")
     if args.dump:
         for i, kern in enumerate(report.kernels):

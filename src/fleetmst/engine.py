@@ -4,14 +4,16 @@ The node stage reaps clusters out of the fleet model: beam-seeded
 (``oag_then_merge``), from each node's flotilla top (``ooag``), or
 kernel-seeded (``koag_seeded``).  ``sequential_stage`` defines all
 three, one FIFO reap per cluster in founding order.  ``array_stage``
-computes the first two in whole-array steps: beam components by hooking
+computes all three in whole-array steps: beam components by hooking
 and pointer jumping, the founders as a fixpoint of min-label passes over
-the subjection DAG, the picks by a BFS over all clusters at once.
-Founding order is a lexicographically first greedy choice, so no pass
-count holds on every input: each loop has a budget, and past one the
-sequential reap runs instead.  ``mode="boruvka"`` skips the node stage
-(every node its own cluster), as a reference line.
-The cluster stage then
+the subjection DAG (under ``koag_seeded`` the kernels found, so one
+label pass sequence gives every kernel's claim), the picks by a BFS
+over all clusters at once; koag's beam loop then runs only over the
+beams the kernels left with a free end.  Founding order is a
+lexicographically first greedy choice, so no pass count holds on every
+input: each loop has a budget, and past one the sequential reap runs
+instead.  ``mode="boruvka"`` skips the node stage (every node its own
+cluster), as a reference line.  The cluster stage then
 merges clusters Boruvka-style over one contracting edge list: the first
 round lists every edge that crosses two clusters once, sorted by
 (weight, smaller endpoint, larger endpoint); each round every live
@@ -174,53 +176,21 @@ def sequential_stage(g: Graph, f: FleetModel, mode: str, kernels=()) -> Forest:
     a reap of its subjection chains without beam crossing.  Then, from
     node 0 up: under ``ooag`` every unclaimed non-isolated node climbs
     its target chain to its flotilla top and founds a cluster on that
-    beam; in the other modes every beam with both ends free founds a
-    cluster, and a beam with one claimed end joins that end's cluster.
-    These reaps cross beams peer-to-peer.  The nodes left unclaimed,
-    exactly the isolated ones, become singleton clusters last.
-    ``array_stage`` reproduces this forest for ``ooag`` and
-    ``oag_then_merge`` and falls back to it."""
+    beam; in the other modes ``_beam_loop`` runs over every beam.  These
+    reaps cross beams peer-to-peer.  The nodes left unclaimed, exactly
+    the isolated ones, become singleton clusters last.  ``array_stage``
+    reproduces this forest for all three modes and falls back to it."""
     _check_model(g, f)
     t = f.chase_tables()
-    rev_ptr, rev_flat = t["rev_ptr"], t["rev_flat"]
-    beam_ptr, beam_flat = t["beam_ptr"], t["beam_flat"]
+    fwd_ptr, fwd = (a.tolist() for a in _forward_arcs(f))
     cl = [-1] * g.n
     parent = [-1] * g.n
     touches = 0
-    k = 0  # clusters founded so far
-
-    def reap(seeds, cross_beams=True):
-        """Claim for the seeds' cluster everything reachable from them by
-        reverse-subjection arcs (a cluster absorbs whoever subjects to
-        it) and, optionally, beam crossings.  Already-claimed nodes are
-        skipped, which is the cycle guard."""
-        nonlocal touches
-        cid = cl[seeds[0]]
-        queue = deque(seeds)
-        while queue:
-            y = queue.popleft()
-            arcs = rev_flat[rev_ptr[y] : rev_ptr[y + 1]]
-            if cross_beams:
-                arcs += beam_flat[beam_ptr[y] : beam_ptr[y + 1]]
-            touches += len(arcs)
-            for r in arcs:
-                if cl[r] < 0:
-                    cl[r] = cid
-                    parent[r] = y
-                    queue.append(r)
-
-    for kernel in kernels:
+    for k, kernel in enumerate(kernels):
         cl[kernel[0]] = k
-        queue = deque(kernel[:1])
-        while queue:
-            y = queue.popleft()
-            for b in beam_flat[beam_ptr[y] : beam_ptr[y + 1]]:
-                if cl[b] < 0:
-                    cl[b] = k
-                    parent[b] = y
-                    queue.append(b)
-        reap(kernel, cross_beams=False)
-        k += 1
+        _reap(kernel[:1], t["beam_ptr"], t["beam_flat"], cl, parent)
+        touches += _reap(kernel, t["rev_ptr"], t["rev_flat"], cl, parent)
+    k = len(kernels)
 
     if mode == "ooag":
         target, mvc, iso = t["target"], t["mvc"], t["isolated"]
@@ -234,30 +204,83 @@ def sequential_stage(g: Graph, f: FleetModel, mode: str, kernels=()) -> Forest:
                 touches += 1
             cl[x] = cl[y] = k
             parent[x] = y
-            reap((x, y))
+            touches += _reap((x, y), fwd_ptr, fwd, cl, parent)
             k += 1
     else:
-        for a in range(g.n):
-            for b in beam_flat[beam_ptr[a] : beam_ptr[a + 1]]:
-                if b < a:
-                    continue
-                if cl[a] < 0 and cl[b] < 0:
-                    cl[a] = cl[b] = k
-                    parent[b] = a
-                    reap((a, b))
-                    k += 1
-                elif cl[a] < 0 or cl[b] < 0:
-                    claimed, free = (a, b) if cl[a] >= 0 else (b, a)
-                    cl[free] = cl[claimed]
-                    parent[free] = claimed
-                    reap((free,))
+        a, b = _half_beams(f)
+        k, more = _beam_loop(zip(a.tolist(), b.tolist()), fwd_ptr, fwd, cl, parent, k)
+        touches += more
+    return _forest(g, f, np.array(cl, dtype=np.int64), np.array(parent, dtype=np.int64), k, touches)
 
-    cluster_of = np.array(cl, dtype=np.int64)
-    free = np.flatnonzero(cluster_of < 0)
-    cluster_of[free] = k + np.arange(free.size)
-    forest = Forest(g, cluster_of, np.array(parent, dtype=np.int64), f.mvc_scaled)
+
+def _reap(seeds, ptr: list, flat: list, cl: list, parent: list) -> int:
+    """Claim for the seeds' cluster every unclaimed node reachable from
+    them along the arcs ``flat[ptr[y]:ptr[y + 1]]``, first in, first
+    out.  Already-claimed nodes are skipped, which is the cycle guard.
+    Returns the number of arcs touched."""
+    cid = cl[seeds[0]]
+    queue = deque(seeds)
+    touches = 0
+    while queue:
+        y = queue.popleft()
+        arcs = flat[ptr[y] : ptr[y + 1]]
+        touches += len(arcs)
+        for r in arcs:
+            if cl[r] < 0:
+                cl[r] = cid
+                parent[r] = y
+                queue.append(r)
+    return touches
+
+
+def _beam_loop(beams, ptr: list, flat: list, cl: list, parent: list, k: int) -> tuple[int, int]:
+    """The beam loop of ``oag_then_merge`` and ``koag_seeded``.  For each
+    beam (a, b), a < b, in order: a beam with both ends free founds
+    cluster k and reaps from both; a beam with one claimed end joins the
+    free end to that end's cluster and reaps from it.  The reaps follow
+    ``ptr``/``flat``: reverse-subjection children, then beam partners.
+    Returns the next cluster id and the arcs touched."""
+    touches = 0
+    for a, b in beams:
+        if cl[a] < 0 and cl[b] < 0:
+            cl[a] = cl[b] = k
+            parent[b] = a
+            touches += _reap((a, b), ptr, flat, cl, parent)
+            k += 1
+        elif cl[a] < 0 or cl[b] < 0:
+            claimed, free = (a, b) if cl[a] >= 0 else (b, a)
+            cl[free] = cl[claimed]
+            parent[free] = claimed
+            touches += _reap((free,), ptr, flat, cl, parent)
+    return k, touches
+
+
+def _forest(g: Graph, f: FleetModel, cl: np.ndarray, parent: np.ndarray, k: int, touches: int) -> Forest:
+    """The stage's forest; the nodes left unclaimed (cl < 0) take the ids
+    from k up."""
+    free = np.flatnonzero(cl < 0)
+    cl[free] = k + np.arange(free.size)
+    forest = Forest(g, cl, parent, f.mvc_scaled)
     forest.node_arc_touches = touches
     return forest
+
+
+def _half_beams(f: FleetModel) -> tuple[np.ndarray, np.ndarray]:
+    """Every beam once as (a, b) with a < b, sorted."""
+    a = np.repeat(np.arange(f.n), np.diff(f.beam_indptr))
+    half = a < f.beam_leaves
+    return a[half], f.beam_leaves[half]
+
+
+def _forward_arcs(f: FleetModel) -> tuple[np.ndarray, np.ndarray]:
+    """The arcs a reap across beams follows, as CSR: each node's
+    reverse-subjection children, then its beam partners, each ascending."""
+    rev_ptr, beam_ptr = f.rev_indptr, f.beam_indptr
+    ptr = rev_ptr + beam_ptr
+    fwd = np.empty(int(ptr[-1]), dtype=np.int64)
+    fwd[np.arange(f.rev_children.size) + np.repeat(beam_ptr[:-1], np.diff(rev_ptr))] = f.rev_children
+    fwd[np.arange(f.beam_leaves.size) + np.repeat(rev_ptr[1:], np.diff(beam_ptr))] = f.beam_leaves
+    return ptr, fwd
 
 
 def _jump(p: np.ndarray, dist: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
@@ -275,7 +298,7 @@ def _jump(p: np.ndarray, dist: Optional[np.ndarray] = None) -> Optional[np.ndarr
     return None
 
 
-def _beam_components(f: FleetModel, beam_src: np.ndarray) -> Optional[np.ndarray]:
+def beam_components(f: FleetModel) -> Optional[np.ndarray]:
     """Each node's beam component, labelled by its smallest member; None
     when a budget runs out.  Every node first hooks onto its smallest
     partner if that is smaller; then, until no beam crosses two roots,
@@ -285,8 +308,7 @@ def _beam_components(f: FleetModel, beam_src: np.ndarray) -> Optional[np.ndarray
     lab = np.arange(f.n)
     member = np.flatnonzero(np.diff(ptr))
     lab[member] = np.minimum(member, partner[ptr[member]])
-    half = beam_src < partner
-    a, b = beam_src[half], partner[half]
+    a, b = _half_beams(f)
     for _ in range(MAX_JUMPS):
         lab = _jump(lab)
         if lab is None:
@@ -337,21 +359,16 @@ def _founders(
 
 
 def _reap_parents(
-    f: FleetModel, cl: np.ndarray, frontier: np.ndarray, parent: np.ndarray
+    ptr: np.ndarray, fwd: np.ndarray, cl: np.ndarray, frontier: np.ndarray, parent: np.ndarray
 ) -> Optional[np.ndarray]:
     """Each node's first claimer in its cluster's FIFO reap, written into
     ``parent``, by one level-synchronous BFS over all clusters at once.
-    ``frontier`` lists the founding pairs, cluster by cluster.  A node's
-    forward arcs are its reverse-subjection children, then its beam
-    partners, each ascending; the first occurrence of a node in a level
-    claims it.  None past the level budget."""
-    n = f.n
-    rev_ptr, beam_ptr = f.rev_indptr, f.beam_indptr
-    fwd_ptr = rev_ptr + beam_ptr
-    fwd = np.empty(int(fwd_ptr[-1]), dtype=np.int64)
-    fwd[np.arange(f.rev_children.size) + np.repeat(beam_ptr[:-1], np.diff(rev_ptr))] = f.rev_children
-    fwd[np.arange(f.beam_leaves.size) + np.repeat(rev_ptr[1:], np.diff(beam_ptr))] = f.beam_leaves
-    deg = np.diff(fwd_ptr)
+    ``frontier`` lists the seeds, cluster by cluster in reap order.  A
+    node's forward arcs are ``fwd[ptr[y]:ptr[y + 1]]``; only nodes of
+    the same cluster are claimed, and the first occurrence of a node in
+    a level claims it.  None past the level budget."""
+    n = cl.size
+    deg = np.diff(ptr)
     seen = np.zeros(n, dtype=bool)
     seen[frontier] = True
     first = np.full(n, fwd.size)
@@ -360,7 +377,7 @@ def _reap_parents(
             return parent
         d = deg[frontier]
         src = np.repeat(frontier, d)
-        dst = fwd[np.repeat(fwd_ptr[frontier] - (np.cumsum(d) - d), d) + np.arange(src.size)]
+        dst = fwd[np.repeat(ptr[frontier] - (np.cumsum(d) - d), d) + np.arange(src.size)]
         keep = ~seen[dst] & (cl[dst] == cl[src])
         src, dst = src[keep], dst[keep]
         pos = np.arange(dst.size)
@@ -373,9 +390,13 @@ def _reap_parents(
     return None
 
 
-def array_stage(g: Graph, f: FleetModel, mode: str) -> Optional[Forest]:
+def array_stage(
+    g: Graph, f: FleetModel, mode: str, kernel_of: Optional[np.ndarray] = None
+) -> Optional[Forest]:
     """The forest of ``sequential_stage(g, f, mode)`` in whole-array
-    steps, or None when a step would run past its budget.
+    steps, or None when a step would run past its budget.  Under
+    ``koag_seeded``, ``kernel_of`` numbers the kernels' members (see
+    ``_koag_stage``).
 
     Beams join equal-MVC nodes; contracted to their beam components,
     the strict subjection arcs r -> l form a DAG along which MVC falls.
@@ -387,10 +408,12 @@ def array_stage(g: Graph, f: FleetModel, mode: str) -> Optional[Forest]:
     cluster ids, and ``_reap_parents`` the picks.
     """
     _check_model(g, f)
+    if mode == "koag_seeded":
+        return _koag_stage(g, f, kernel_of)
     n = g.n
     ids = np.arange(n)
     iso = f.isolated
-    comp = _beam_components(f, np.repeat(ids, np.diff(f.beam_indptr)))
+    comp = beam_components(f)
     if comp is None:
         return None
     down = (comp[f.rev_children], comp[np.repeat(ids, np.diff(f.rev_indptr))])
@@ -418,10 +441,8 @@ def array_stage(g: Graph, f: FleetModel, mode: str) -> Optional[Forest]:
     k = founders.size
     order = np.empty(n, dtype=np.int64)
     order[founders] = np.arange(k)
-    cl = np.empty(n, dtype=np.int64)
+    cl = np.full(n, -1)
     cl[~iso] = order[m[comp[~iso]]]
-    isolated = np.flatnonzero(iso)
-    cl[isolated] = k + np.arange(isolated.size)
 
     touches = f.rev_children.size + f.beam_leaves.size
     parent = np.full(n, -1)
@@ -434,12 +455,70 @@ def array_stage(g: Graph, f: FleetModel, mode: str) -> Optional[Forest]:
         a = founders
         b = f.beam_leaves[f.beam_indptr[a]]
         parent[b] = a
-    if _reap_parents(f, cl, np.stack((a, b), axis=1).ravel(), parent) is None:
+    if _reap_parents(*_forward_arcs(f), cl, np.stack((a, b), axis=1).ravel(), parent) is None:
         return None
+    return _forest(g, f, cl, parent, k, touches)
 
-    forest = Forest(g, cl, parent, f.mvc_scaled)
-    forest.node_arc_touches = touches
-    return forest
+
+def _koag_stage(g: Graph, f: FleetModel, kernel_of: np.ndarray) -> Optional[Forest]:
+    """``sequential_stage(g, f, "koag_seeded", kernels)`` in whole-array
+    steps, where ``kernel_of[v]`` is the index of v's kernel (kernels
+    numbered by their smallest member) or -1; None past a budget.
+
+    No kernel member subjects strictly to anything, so kernels are sinks
+    of the subjection DAG and no reap claims a member of another
+    cluster: kernel i claims the nodes upstream of it that no earlier
+    kernel is downstream of.  So each node's cluster is the least kernel
+    index downstream of it, by one ``_min_labels`` call.  The parents
+    come from a beam BFS from each kernel's smallest member, then a
+    reverse-subjection BFS from all members.  A claimed node never
+    becomes free again, so the beam loop that follows only needs the
+    beams with a free end, and it reads only the free nodes' arcs.
+    """
+    n = g.n
+    members = np.flatnonzero(kernel_of >= 0)
+    k = int(kernel_of.max(initial=-1)) + 1
+    roots = np.full(k, n)
+    np.minimum.at(roots, kernel_of[members], members)
+    c = np.full(n, n)
+    c[members] = kernel_of[members]
+    m = _min_labels(c, f.rev_children, np.repeat(np.arange(n), np.diff(f.rev_indptr)))
+    if m is None:
+        return None
+    cl = np.where(m < n, m, -1)
+    parent = np.full(n, -1)
+    if (
+        _reap_parents(f.beam_indptr, f.beam_leaves, cl, roots, parent) is None
+        or _reap_parents(f.rev_indptr, f.rev_children, cl, members, parent) is None
+    ):
+        return None
+    claimed = cl >= 0
+    touches = int(np.diff(f.rev_indptr)[claimed].sum())
+
+    a, b = _half_beams(f)
+    loose = ~(claimed[a] & claimed[b])
+    if loose.any():
+        # The beam loop runs in local ids over the free nodes and the ends
+        # of their arcs, the only nodes it reads.
+        free = ~claimed
+        fwd_ptr, fwd = _forward_arcs(f)
+        deg = np.diff(fwd_ptr)
+        fwd = fwd[np.repeat(free, deg)]
+        near = free.copy()
+        near[fwd] = True
+        local = np.flatnonzero(near)
+        loc = np.cumsum(near) - 1
+        ptr = np.zeros(local.size + 1, dtype=np.int64)
+        ptr[loc[free] + 1] = deg[free]
+        lcl, lparent = cl[local].tolist(), [-1] * local.size
+        beams = zip(loc[a[loose]].tolist(), loc[b[loose]].tolist())
+        k, more = _beam_loop(beams, np.cumsum(ptr).tolist(), loc[fwd].tolist(), lcl, lparent, k)
+        touches += more
+        cl[local] = lcl
+        lparent = np.array(lparent, dtype=np.int64)
+        joined = lparent >= 0
+        parent[local[joined]] = local[lparent[joined]]
+    return _forest(g, f, cl, parent, k, touches)
 
 
 def _stage(g: Graph, f: FleetModel, mode: str) -> Forest:

@@ -1,66 +1,86 @@
 """Kernel detection and kernel-seeded clustering.
 
-A kernel is a beam-connected group of nodes in which no member subjects
-to anything lighter (every member has an empty towboat component S).
-Detection walks beam links peer to peer; meeting any member with a
-non-empty S abandons the whole group.  The number of completed groups
-is the intrinsic k value of the instance.
+A kernel is a beam component in which no member subjects to anything
+lighter (every member has an empty towboat component S).  Detection
+labels the beam components by hooking and pointer jumping (the node
+stage's ``beam_components``) and drops every component with a
+disqualified member, in whole-array steps.  The number of kernels is
+the intrinsic k value of the instance.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
-from .engine import Forest, sequential_stage
+import numpy as np
+
+from .engine import Forest, array_stage, beam_components, sequential_stage
 from .fleet import FleetModel
 from .graph import Graph
 
 
-@dataclass
+@dataclass(eq=False)
 class KernelReport:
-    kernels: list[tuple[int, ...]]
+    """``kernel_of[v]`` is the index of v's kernel, -1 outside every
+    kernel; kernels are numbered by their smallest member.
+    ``arc_touches`` counts the beam arcs."""
+
+    kernel_of: np.ndarray
     k: int
     arc_touches: int
     strict: bool = False
 
+    @property
+    def sizes(self) -> np.ndarray:
+        """The number of members of each kernel."""
+        return np.bincount(self.kernel_of[self.kernel_of >= 0], minlength=self.k)
+
+    @cached_property
+    def kernels(self) -> list[tuple[int, ...]]:
+        """Each kernel's members, ascending, in kernel order."""
+        members = np.flatnonzero(self.kernel_of >= 0)
+        flat = members[np.argsort(self.kernel_of[members], kind="stable")].tolist()
+        ends = np.cumsum(self.sizes).tolist()
+        return [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
+
+
+def _components_by_search(f: FleetModel) -> np.ndarray:
+    """Beam component labels, as ``beam_components`` gives them, by a
+    plain search; for inputs on which hooking runs past its budget."""
+    ptr, partner = f.beam_indptr.tolist(), f.beam_leaves.tolist()
+    lab = list(range(f.n))
+    for s in range(f.n):
+        if lab[s] < s:
+            continue
+        stack = [s]
+        while stack:
+            y = stack.pop()
+            for b in partner[ptr[y] : ptr[y + 1]]:
+                if lab[b] == b and b != s:
+                    lab[b] = s
+                    stack.append(b)
+    return np.array(lab, dtype=np.int64)
+
 
 def detect_kernels(f: FleetModel, strict: bool = False) -> KernelReport:
-    """Walk beam links from every unvisited beam member.
-
-    A walk that completes without meeting a disqualified member yields
-    one kernel and bumps the counter.  With strict=True the pure-beam
-    rule applies: members must have J and S both empty.
-    """
-    tables = f.chase_tables()
-    beam_ptr = tables["beam_ptr"]
-    beam_flat = tables["beam_flat"]
+    """The beam components none of whose members has a towboat.  With
+    strict=True the pure-beam rule applies: members must have J and S
+    both empty."""
+    n = f.n
+    lab = beam_components(f)
+    if lab is None:
+        lab = _components_by_search(f)
+    member = np.diff(f.beam_indptr) > 0
     bad = f.has_towboat | f.has_boat if strict else f.has_towboat
-    bad = bad.tolist()
-    visited = [False] * f.n
-    kernels: list[tuple[int, ...]] = []
-    touches = 0
-    for start in range(f.n):
-        if visited[start] or beam_ptr[start] == beam_ptr[start + 1]:
-            continue
-        group = [start]
-        visited[start] = True
-        ok = not bad[start]
-        queue = deque((start,))
-        while queue:
-            y = queue.popleft()
-            for i in range(beam_ptr[y], beam_ptr[y + 1]):
-                touches += 1
-                b = beam_flat[i]
-                if not visited[b]:
-                    visited[b] = True
-                    if bad[b]:
-                        ok = False
-                    group.append(b)
-                    queue.append(b)
-        if ok:
-            kernels.append(tuple(sorted(group)))
-    return KernelReport(kernels=kernels, k=len(kernels), arc_touches=touches, strict=strict)
+    spoilt = np.zeros(n, dtype=bool)
+    spoilt[lab[bad & member]] = True
+    ok = member & ~spoilt[lab]
+    roots = np.flatnonzero(ok & (lab == np.arange(n)))
+    kernel_of = np.full(n, -1)
+    kernel_of[roots] = np.arange(roots.size)
+    kernel_of[ok] = kernel_of[lab[ok]]
+    return KernelReport(kernel_of, k=roots.size, arc_touches=f.beam_leaves.size, strict=strict)
 
 
 def k_value(g: Graph, strict: bool = False) -> int:
@@ -74,5 +94,7 @@ def koag_seed(g: Graph, f: FleetModel, report: KernelReport) -> Forest:
     strictly top-to-bottom along subjection arcs.  Parts of the graph
     not reachable that way (components whose beams were all abandoned,
     or beams shielded behind their own mutual targets) fall back to
-    plain beam seeding so coverage is preserved."""
-    return sequential_stage(g, f, "koag_seeded", report.kernels)
+    plain beam seeding so coverage is preserved.  Computed by
+    ``array_stage``; past one of its budgets, by ``sequential_stage``."""
+    forest = array_stage(g, f, "koag_seeded", report.kernel_of)
+    return sequential_stage(g, f, "koag_seeded", report.kernels) if forest is None else forest

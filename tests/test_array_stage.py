@@ -8,8 +8,9 @@ from fleetmst.baselines import kruskal
 from fleetmst.fleet import build_fleet
 from fleetmst.generators import lattice8, random_gnm
 from fleetmst.graph import graph_from_arrays
+from fleetmst.kernels import detect_kernels, koag_seed
 
-STAGE_MODES = ("ooag", "oag_then_merge")
+STAGE_MODES = ("ooag", "oag_then_merge", "koag_seeded")
 
 
 def equal_path(n):
@@ -45,10 +46,24 @@ def gnm_graphs():
     return [random_gnm(200 + 150 * i, 600 + 700 * i, qs[i % 5], seed=i) for i in range(20)]
 
 
+def stages(g, f, mode):
+    """The array stage of ``mode`` on g (None on a fallback), and the
+    sequential stage that defines it."""
+    if mode != "koag_seeded":
+        return engine.array_stage(g, f, mode), engine.sequential_stage(g, f, mode)
+    rep = detect_kernels(f)
+    return engine.array_stage(g, f, mode, rep.kernel_of), engine.sequential_stage(g, f, mode, rep.kernels)
+
+
+def node_stage(g, f, mode):
+    """The node stage ``engine.run`` takes under ``mode``."""
+    if mode == "koag_seeded":
+        return koag_seed(g, f, detect_kernels(f))
+    return (engine.inheritance_stage if mode == "ooag" else engine.node_stage)(g, f)
+
+
 def assert_same_forest(g, mode):
-    f = build_fleet(g)
-    array = engine.array_stage(g, f, mode)
-    seq = engine.sequential_stage(g, f, mode)
+    array, seq = stages(g, build_fleet(g), mode)
     assert array is not None, mode
     assert np.array_equal(np.asarray(array.parent), np.asarray(seq.parent)), mode
     assert np.array_equal(array.cluster_of, seq.cluster_of), mode
@@ -77,8 +92,8 @@ def test_array_stage_matches_the_sequential_stage_on_random_graphs(mode):
 @pytest.mark.parametrize(
     "name, g, falls_back",
     [
-        ("equal_path", equal_path(5000), {"ooag", "oag_then_merge"}),
-        ("increasing_path", increasing_path(5000), {"ooag", "oag_then_merge"}),
+        ("equal_path", equal_path(5000), set(STAGE_MODES)),
+        ("increasing_path", increasing_path(5000), set(STAGE_MODES)),
         ("chain", chain(2000), {"ooag"}),
     ],
 )
@@ -87,12 +102,12 @@ def test_deep_inputs_take_the_fallback(name, g, falls_back):
     under ``falls_back``; the stage then returns the sequential forest."""
     for mode in STAGE_MODES:
         f = build_fleet(g)
+        array, want = stages(g, f, mode)
         if mode in falls_back:
-            assert engine.array_stage(g, f, mode) is None, (name, mode)
+            assert array is None, (name, mode)
         else:
             assert_same_forest(g, mode)
-        stage = engine.inheritance_stage if mode == "ooag" else engine.node_stage
-        got, want = stage(g, f), engine.sequential_stage(g, f, mode)
+        got = node_stage(g, f, mode)
         assert np.array_equal(np.asarray(got.parent), np.asarray(want.parent)), (name, mode)
         assert np.array_equal(got.cluster_of, want.cluster_of), (name, mode)
         assert got.node_arc_touches == want.node_arc_touches, (name, mode)
@@ -102,10 +117,10 @@ def test_deep_inputs_take_the_fallback(name, g, falls_back):
 
 def test_stages_leave_the_chase_tables_unbuilt():
     g = lattice8(40, (1, 2, 3), seed=5)
-    for stage in (engine.inheritance_stage, engine.node_stage):
+    for mode in STAGE_MODES:
         f = build_fleet(g)
-        stage(g, f)
-        assert f._tables is None, stage.__name__
+        node_stage(g, f, mode)
+        assert f._tables is None, mode
 
 
 def test_boruvka_reference_matches_kruskal(corpus):

@@ -1,14 +1,15 @@
 import hashlib
+from collections import deque
 
 import numpy as np
 
 from fleetmst.baselines import kruskal, verify_spanning_forest
-from fleetmst.engine import run
+from fleetmst.engine import beam_components, run
 from fleetmst.fleet import build_fleet
 from fleetmst.generators import random_gnm
 from fleetmst.graph import build_graph
-from fleetmst.kernels import detect_kernels, k_value, koag_seed
-from test_array_stage import bench_lattices
+from fleetmst.kernels import _components_by_search, detect_kernels, k_value, koag_seed
+from test_array_stage import bench_lattices, equal_path
 
 TWO_TRIANGLES = build_graph(
     6,
@@ -22,6 +23,64 @@ TWO_TRIANGLES = build_graph(
         (2, 5, 9),
     ],
 )
+
+
+def walk_kernels(f, strict=False):
+    """Kernels by walking beam links from every unvisited beam member, in
+    id order: a walk that meets a disqualified member abandons its whole
+    group.  Returns (kernels, k, beam arcs touched)."""
+    tables = f.chase_tables()
+    beam_ptr = tables["beam_ptr"]
+    beam_flat = tables["beam_flat"]
+    bad = f.has_towboat | f.has_boat if strict else f.has_towboat
+    bad = bad.tolist()
+    visited = [False] * f.n
+    kernels = []
+    touches = 0
+    for start in range(f.n):
+        if visited[start] or beam_ptr[start] == beam_ptr[start + 1]:
+            continue
+        group = [start]
+        visited[start] = True
+        ok = not bad[start]
+        queue = deque((start,))
+        while queue:
+            y = queue.popleft()
+            for i in range(beam_ptr[y], beam_ptr[y + 1]):
+                touches += 1
+                b = beam_flat[i]
+                if not visited[b]:
+                    visited[b] = True
+                    if bad[b]:
+                        ok = False
+                    group.append(b)
+                    queue.append(b)
+        if ok:
+            kernels.append(tuple(sorted(group)))
+    return kernels, len(kernels), touches
+
+
+def test_detection_matches_the_beam_walk(corpus):
+    for spec, g in corpus[::3]:
+        f = build_fleet(g)
+        for strict in (False, True):
+            rep = detect_kernels(f, strict=strict)
+            assert (rep.kernels, rep.k, rep.arc_touches) == walk_kernels(f, strict), (spec.token(), strict)
+            assert rep.sizes.tolist() == [len(kern) for kern in rep.kernels]
+
+
+def test_component_search_matches_hooking(corpus):
+    for spec, g in corpus[::3]:
+        f = build_fleet(g)
+        assert np.array_equal(_components_by_search(f), beam_components(f)), spec.token()
+
+
+def test_detection_past_the_hooking_budget_matches_the_beam_walk():
+    f = build_fleet(equal_path(5000))
+    assert beam_components(f) is None
+    for strict in (False, True):
+        rep = detect_kernels(f, strict=strict)
+        assert (rep.kernels, rep.k, rep.arc_touches) == walk_kernels(f, strict)
 
 
 def test_two_triangles_have_two_kernels():
