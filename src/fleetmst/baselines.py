@@ -49,20 +49,21 @@ class DisjointSet:
 
 def kruskal(g: Graph) -> MstResult:
     """Classic ascending-weight greedy; deterministic under ties via
-    the (weight, u, v) sort order."""
+    the (weight, u, v) sort order.  The half arcs u < v are stored in
+    (u, v) order, so a stable sort on weight gives it."""
     src = g.arc_sources()
     keep = src < g.leaves
-    u = src[keep]
-    v = g.leaves[keep]
     w = g.weights[keep]
-    order = np.lexsort((v, u, w))
+    order = np.argsort(w, kind="stable")
+    u = src[keep][order].tolist()
+    v = g.leaves[keep][order].tolist()
+    w = w[order].tolist()
     ds = DisjointSet(g.n)
     picked: list[tuple[int, int, int]] = []
     total = 0
     scanned = 0
-    for i in order.tolist():
+    for a, b, ww in zip(u, v, w):
         scanned += 1
-        a, b, ww = int(u[i]), int(v[i]), int(w[i])
         if ds.union(a, b):
             picked.append((a, b, ww))
             total += ww

@@ -15,13 +15,15 @@ input: each loop has a budget, and past one the sequential reap runs
 instead.  ``mode="boruvka"`` skips the node stage (every node its own
 cluster), as a reference line.  The cluster stage then
 merges clusters Boruvka-style over one contracting edge list: the first
-round lists every edge that crosses two clusters once, sorted by
-(weight, smaller endpoint, larger endpoint); each round every live
-cluster hooks onto its lowest-ranked crossing edge, the hooks are
-flattened into fresh cluster ids, and the edges now inside a cluster
-are dropped for good.  Dropping them (the melioration) only shrinks
-what later rounds examine; it never changes a choice.  With it off, the
-list keeps every edge and each round rescans all 2m arcs.
+round lists every edge that crosses two clusters once, in stored
+(smaller endpoint, larger endpoint) order, and gives each an int64 rank
+key whose order is (weight, smaller endpoint, larger endpoint), so
+nothing is sorted.  Each round every live cluster hooks onto its
+crossing edge with the least key, the hooks are flattened into fresh
+cluster ids, and the keys of edges now inside a cluster are dropped for
+good.  Dropping them (the melioration) only shrinks what later rounds
+examine; it never changes a choice.  With it off, the list keeps every
+edge and each round rescans all 2m arcs.
 
 Picked edges stay arrays until the result is built.  Every node-stage
 pick has the form "node z joins through p with weight mvc[z]", so the
@@ -100,10 +102,13 @@ class Forest:
         self.comparisons = 0
         self.node_arc_touches = 0
         self.per_round: list[RoundStats] = []
-        # Merge-stage edge list, sorted by (w, a, b): endpoints (2, L)
-        # with a < b, scaled weights, and current cluster ids (2, L).
+        # Merge-stage edge list.  The round-0 columns, never filtered:
+        # endpoints (2, L) with a < b and scaled weights.  The contracting
+        # list: rank keys in (w, a, b) order (key % L is the column) and
+        # the current cluster ids of their ends (2, keys).
         self.edge_ends: Optional[np.ndarray] = None
         self.edge_w: Optional[np.ndarray] = None
+        self.edge_key: Optional[np.ndarray] = None
         self.edge_labels: Optional[np.ndarray] = None
 
     # -- cluster ids -----------------------------------------------------
@@ -542,66 +547,75 @@ def inheritance_stage(g: Graph, f: FleetModel) -> Forest:
 # cluster stage
 # ---------------------------------------------------------------------------
 
+_NO_KEY = np.iinfo(np.int64).max  # above every rank key
+
 
 def _build_edge_list(g: Graph, forest: Forest) -> None:
-    """Every edge once as (a, b) with a < b, sorted by (w, a, b).  Arcs
-    are stored in (src, dst) order, so a stable sort on w suffices.
-    With melioration on, edges inside a cluster are left out before the
-    sort; the crossing edges keep their relative order, so no choice
-    changes."""
+    """Every edge once as (a, b) with a < b, in stored arc order, which
+    is (a, b) order; with melioration on, only the edges that cross
+    clusters.  Edge i of the L listed gets the rank key (w - wmin) * L + i,
+    so keys order the edges by (w, a, b).  When that key range does not
+    fit in int64, dense weight ranks stand in for w - wmin."""
     src = g.arc_sources()
     cl = forest.cluster_of
     keep = src < g.leaves
     if forest.melioration:
         keep &= cl[src] != cl[g.leaves]
-    ends = np.stack((src[keep], g.leaves[keep]))
-    w = g.weights[keep]
-    order = np.argsort(w, kind="stable")
-    forest.edge_ends = ends[:, order]
-    forest.edge_w = w[order]
+    keep = np.flatnonzero(keep)  # index gathers beat mask gathers here
+    forest.edge_ends = np.stack((src[keep], g.leaves[keep]))
+    forest.edge_w = w = g.weights[keep]
     forest.edge_labels = cl[forest.edge_ends]
+    lo, hi = (int(w.min()), int(w.max())) if w.size else (0, 0)
+    if (hi - lo + 1) * w.size <= _NO_KEY:
+        rank = w - lo
+    else:
+        rank = np.unique(w, return_inverse=True)[1]
+    forest.edge_key = rank * w.size + np.arange(w.size)
 
 
 def merge_round(g: Graph, forest: Forest) -> Forest:
     """One Boruvka round over the contracting edge list.
 
-    Every cluster hooks onto the other end of its lowest-ranked crossing
-    edge; ranks follow (w, a, b), so ties break on the smaller, then the
-    larger endpoint.  Mutual pairs keep the smaller id as root, pointer
-    jumping flattens the hooks, and roots get fresh ids from the
+    Every cluster hooks onto the other end of its crossing edge with the
+    least rank key; keys follow (w, a, b), so ties break on the smaller,
+    then the larger endpoint.  Mutual pairs keep the smaller id as root,
+    pointer jumping flattens the hooks, and roots get fresh ids from the
     counter.  Clusters without a crossing edge are Done.  The round
     counts the arcs it examines: all 2m when it builds the list, else
-    twice the edges left in it.  With melioration on, edges that end up
-    inside a cluster are dropped for good; off, every round rescans all.
+    twice the keys left in it.  With melioration on, the keys of edges
+    that end up inside a cluster are dropped for good; off, every round
+    rescans all.
     """
     t0 = time.perf_counter()
     if forest.edge_ends is None:
         _build_edge_list(g, forest)
         scanned = g.arc_count
     else:
-        scanned = 2 * forest.edge_w.size
+        scanned = 2 * forest.edge_key.size
     forest.comparisons += scanned
 
     base, k = forest.base, forest.cluster_count
     lab = forest.edge_labels - base
-    live = np.flatnonzero(lab[0] != lab[1])
-    if live.size == 0:
+    live = lab[0] != lab[1]
+    if not live.any():
         forest.done = set(range(base, forest.counter))
         return forest
 
-    # Lowest-ranked crossing edge per cluster; the list length marks none.
-    best = np.full(k, forest.edge_w.size, dtype=np.int64)
-    np.minimum.at(best, lab[0, live], live)
-    np.minimum.at(best, lab[1, live], live)
+    # Least crossing key per cluster; _NO_KEY marks none.
+    key = np.where(live, forest.edge_key, _NO_KEY)
+    best = np.full(k, _NO_KEY, dtype=np.int64)
+    np.minimum.at(best, lab[0], key)
+    np.minimum.at(best, lab[1], key)
     ids = np.arange(k)
-    hooked = best < forest.edge_w.size
+    hooked = best < _NO_KEY
+    col = best % forest.edge_w.size  # the chosen edge's round-0 column
     parent = ids.copy()
-    e = best[hooked]
-    parent[hooked] = np.where(lab[0, e] == ids[hooked], lab[1, e], lab[0, e])
+    ends = forest.cluster_of[forest.edge_ends[:, col[hooked]]] - base
+    parent[hooked] = np.where(ends[0] == ids[hooked], ends[1], ends[0])
     mutual = (parent[parent] == ids) & (ids < parent)
     parent[mutual] = ids[mutual]
     child = parent != ids
-    e = best[child]
+    e = col[child]
     forest.merged.append((forest.edge_ends[:, e], forest.edge_w[e]))
     while True:
         up = parent[parent]
@@ -619,9 +633,8 @@ def merge_round(g: Graph, forest: Forest) -> Forest:
     forest.base = forest.counter
     forest.counter += roots.size
     if forest.melioration:
-        keep = forest.edge_labels[0] != forest.edge_labels[1]
-        forest.edge_ends = forest.edge_ends[:, keep]
-        forest.edge_w = forest.edge_w[keep]
+        keep = np.flatnonzero(forest.edge_labels[0] != forest.edge_labels[1])
+        forest.edge_key = forest.edge_key[keep]
         forest.edge_labels = forest.edge_labels[:, keep]
 
     forest.rounds += 1

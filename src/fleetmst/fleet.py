@@ -6,6 +6,12 @@ achieving that minimum.  Beams are detected by weight equality on the
 shared edge (the edge weight equals both endpoints' MVCs), independent
 of which target each endpoint happened to choose, so beams stay
 well-defined under duplicate weights.
+
+The build makes one pass over all 2m arcs for the MVCs and one to find
+the arcs at their root's MVC; everything else (targets, the beam and
+reverse-subjection indexes, the towboat and boat flags) is read off
+those arcs alone.  Each such arc (r, l) is a beam when w = mvc(l), else
+r subjects strictly to l, since mvc(l) <= w always.
 """
 
 from __future__ import annotations
@@ -64,45 +70,35 @@ class FleetModel:
         if rows.size:
             # reduceat over nonempty rows only: consecutive nonempty row
             # starts delimit exactly one row each.
-            starts = indptr[rows]
-            mvc[rows] = np.minimum.reduceat(w, starts)
-            at_min = w == mvc[src]
-            cand = np.where(at_min, leaves, n)
-            target[rows] = np.minimum.reduceat(cand, starts)
-        else:
-            at_min = np.zeros(0, dtype=bool)
-
-        beam_arc = at_min & (w == mvc[leaves]) if w.size else at_min
-        b_src = src[beam_arc]
-        b_leaf = leaves[beam_arc]
-        b_counts = np.bincount(b_src, minlength=n).astype(np.int64)
-        self.beam_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(b_counts, out=self.beam_indptr[1:])
-        self.beam_leaves = b_leaf  # already sorted by (src, leaf)
+            mvc[rows] = np.minimum.reduceat(w, indptr[rows])
+        # The arcs (r, l) at their root's MVC, in (r, l) order: each is a
+        # beam or a strict subjection (module docstring).  A row's first
+        # one holds its smallest target leaf; every nonempty row has one.
+        at_min = np.flatnonzero(w == mvc[src])
+        root, leaf = src[at_min], leaves[at_min]
+        first = np.ones(at_min.size, dtype=bool)
+        first[1:] = root[1:] != root[:-1]
+        target[rows] = leaf[first]
+        is_beam = w[at_min] == mvc[leaf]
+        beam, strict = np.flatnonzero(is_beam), np.flatnonzero(~is_beam)
+        self.beam_indptr = _indptr(root[beam], n)
+        self.beam_leaves = leaf[beam]  # already sorted by (src, leaf)
 
         # Reverse index of strict subjection: rev_children under leaf l
         # lists every root r with an arc (r, l) of weight mvc(r) and
-        # mvc(l) < mvc(r).  Subjection is existential (any minimum-weight
-        # arc qualifies), so one node can appear under several leaves;
-        # beams are kept in their own index below.
-        strict = at_min & (mvc[leaves] < mvc[src]) if w.size else at_min
-        sr = src[strict]
-        sl = leaves[strict]
-        order = np.lexsort((sr, sl))
-        rc = sr[order]
-        rt = sl[order]
-        r_counts = np.bincount(rt, minlength=n).astype(np.int64)
-        self.rev_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(r_counts, out=self.rev_indptr[1:])
-        self.rev_children = rc
+        # mvc(l) < mvc(r), ascending (a stable sort of arcs already in
+        # root order).  Subjection is existential (any minimum-weight arc
+        # qualifies), so one node can appear under several leaves; beams
+        # are kept in their own index above.
+        sl = leaf[strict]
+        self.rev_children = root[strict][np.argsort(sl, kind="stable")]
+        self.rev_indptr = _indptr(sl, n)
 
-        if w.size:
-            j_arc = (w == mvc[leaves]) & (mvc[leaves] > mvc[src])
-            self.has_towboat = np.bincount(src[strict], minlength=n) > 0
-            self.has_boat = np.bincount(src[j_arc], minlength=n) > 0
-        else:
-            self.has_towboat = np.zeros(n, dtype=bool)
-            self.has_boat = np.zeros(n, dtype=bool)
+        # r has a towboat iff it subjects strictly to some leaf, and a boat
+        # (an arc (r, l) with w = mvc(l) > mvc(r)) iff some l subjects
+        # strictly to r.
+        self.has_towboat = np.bincount(self.rev_children, minlength=n) > 0
+        self.has_boat = np.diff(self.rev_indptr) > 0
 
         self.mvc_scaled = mvc
         self.target = target
@@ -238,6 +234,13 @@ class FleetModel:
                 "isolated": self.isolated.tolist(),
             }
         return self._tables
+
+
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers over n rows for entries in rows ``rows``."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
+    return ptr
 
 
 def build_fleet(g: Graph) -> FleetModel:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fleetmst import engine
-from fleetmst.baselines import kruskal
+from fleetmst.baselines import kruskal, verify_spanning_forest
 from fleetmst.engine import (
     inheritance_stage,
     merge_round,
@@ -18,6 +18,7 @@ from fleetmst.fleet import build_fleet
 from fleetmst.generators import lattice8, random_gnm
 from fleetmst.graph import build_graph, graph_from_arrays
 from fleetmst.kernels import detect_kernels, koag_seed
+from test_array_stage import bench_lattices
 
 TWO_TRIANGLES = build_graph(
     6,
@@ -268,3 +269,63 @@ def test_first_edge_list_holds_only_crossing_edges():
             assert listed.edge_w.size == g.m > crossing
         merge_round(g, stepped)
         assert stepped.per_round[0].arcs_scanned == 2 * g.m
+
+
+def wide_weight_graphs():
+    """Graphs whose (wmax - wmin + 1) * L does not fit in int64 once two
+    or more edges are listed: weights drawn from {1, 2, 2**62, 2**62 + 1}
+    (heavy ties), and distinct weights half near 1, half near 2**62."""
+    choices = np.array([1, 2, 2**62, 2**62 + 1], dtype=np.int64)
+    out = []
+    for seed in range(8):
+        base = random_gnm(40 + 30 * seed, 120 + 90 * seed, (1,), seed=seed)
+        src = base.arc_sources()
+        keep = src < base.leaves
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            w = rng.permutation(np.arange(base.m) + np.where(np.arange(base.m) % 2, 1, 2**62))
+        else:
+            w = rng.choice(choices, size=base.m)
+        out.append((graph_from_arrays(base.n, src[keep], base.leaves[keep], w, 1), bool(seed % 2)))
+    return out
+
+
+def test_rank_keys_fall_back_to_dense_ranks_on_wide_weights():
+    """Keys stay in (w, a, b) order past the int64 key range, so plain
+    Boruvka picks Kruskal's tree.  Under ties the node-stage modes pick
+    another minimum tree, so those are checked by total and certificate;
+    with distinct weights the tree is unique."""
+    for g, distinct in wide_weight_graphs():
+        forest = engine.Forest(g, np.arange(g.n), np.full(g.n, -1), np.zeros(0, dtype=np.int64))
+        engine._build_edge_list(g, forest)
+        (a, b), w = forest.edge_ends, forest.edge_w
+        assert np.array_equal(np.argsort(forest.edge_key), np.lexsort((b, a, w)))
+        ref = kruskal(g)
+        for mode in engine.MODES + ("boruvka",):
+            on, off = run(g, mode=mode), run(g, mode=mode, melioration=False)
+            assert on.edges == off.edges and on.rounds == off.rounds, mode
+            assert on.total == off.total == ref.total, mode
+            assert verify_spanning_forest(g, on.edges, ref.total) == [], mode
+            if distinct or mode == "boruvka":
+                assert on.edges == ref.edges, mode
+
+
+# ooag's merge stage on each benchmark lattice: rounds, A and per round
+# (clusters_before, clusters_after, arcs_scanned).
+OOAG_MERGES = [
+    (5, 515376, ((8592, 1738, 317604), (1738, 309, 116804), (309, 26, 57764), (26, 3, 20144), (3, 1, 3060))),
+    (5, 514390, ((8558, 1698, 317604), (1698, 302, 115702), (302, 30, 59216), (30, 2, 19570), (2, 1, 2298))),
+    (5, 523280, ((8563, 1721, 317604), (1721, 335, 116720), (335, 35, 61518), (35, 3, 23202), (3, 1, 4236))),
+    (4, 510178, ((8560, 1722, 317604), (1722, 299, 116054), (299, 28, 56898), (28, 1, 19622))),
+    (1, 317604, ((8, 1, 317604),)),
+    (1, 317604, ((12, 1, 317604),)),
+    (1, 317604, ((4, 1, 317604),)),
+    (1, 317604, ((9, 1, 317604),)),
+]
+
+
+def test_ooag_merge_stage_is_pinned_on_the_bench_lattices():
+    for g, want in zip(bench_lattices(), OOAG_MERGES):
+        res = run(g, mode="ooag")
+        stats = tuple((s.clusters_before, s.clusters_after, s.arcs_scanned) for s in res.per_round)
+        assert (res.rounds, res.comparisons, stats) == want

@@ -118,3 +118,12 @@ def test_dump_writes_one_line_per_node():
     lines = buf.getvalue().strip().split("\n")
     assert len(lines) == 6
     assert lines[0].startswith("0 1 1 ")
+
+
+def test_towboat_and_boat_flags_match_classify(corpus):
+    for _, g in corpus[::3]:
+        f = build_fleet(g)
+        for r in range(g.n):
+            boats, _, towboats = f.classify(r)
+            assert f.has_towboat[r] == bool(towboats)
+            assert f.has_boat[r] == bool(boats)
