@@ -1,6 +1,7 @@
 """Command-line front end: gen, build, verify, bench, kvalue.
 
-Exit codes: 0 ok, 1 verification failure, 2 input error.
+Exit codes: 0 ok, 1 verification failure, 2 input error.  A graph too
+large to allocate is an input error too.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def cmd_gen(args) -> int:
     try:
         g = spec.build()
         write_graph(g, args.out, comments=[spec.token()])
-    except (GraphError, OSError) as exc:
+    except (GraphError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {args.out}: n={g.n} m={g.m}")
@@ -133,7 +134,7 @@ def _write_stats(result, g, path) -> None:
 def cmd_build(args) -> int:
     try:
         g = read_graph(args.input)
-    except (GraphError, OSError) as exc:
+    except (GraphError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     result = _run_algo(g, args.algo)
@@ -172,7 +173,7 @@ def cmd_verify(args) -> int:
     try:
         g = read_graph(args.input)
         edges = _read_tree(args.tree)
-    except (GraphError, OSError, ValueError) as exc:
+    except (GraphError, OSError, MemoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     problems = baselines.verify_spanning_forest(g, edges)
@@ -193,7 +194,7 @@ def cmd_verify(args) -> int:
 def cmd_kvalue(args) -> int:
     try:
         g = read_graph(args.input)
-    except (GraphError, OSError) as exc:
+    except (GraphError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = kernels.detect_kernels(build_fleet(g), strict=args.strict)
@@ -253,7 +254,7 @@ def cmd_bench(args) -> int:
             spec = generators.GenSpec(args.family, {"n": size}, q, args.seed)
         try:
             g = spec.build()
-        except GraphError as exc:
+        except (GraphError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         for algo in algos:

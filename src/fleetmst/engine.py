@@ -5,20 +5,22 @@ The node stage reaps clusters out of the fleet model: beam-seeded
 kernel-seeded (``koag_seeded``).  ``sequential_stage`` defines all
 three, one FIFO reap per cluster in founding order.  ``array_stage``
 computes all three in whole-array steps: beam components by hooking
-and pointer jumping, the founders as a fixpoint of min-label passes over
-the subjection DAG (under ``koag_seeded`` the kernels found, so one
-label pass sequence gives every kernel's claim), the picks by a BFS
-over all clusters at once; koag's beam loop then runs only over the
-beams the kernels left with a free end.  Founding order is a
-lexicographically first greedy choice, so no pass count holds on every
-input: each loop has a budget, and past one the sequential reap runs
-instead.  ``mode="boruvka"`` skips the node stage (every node its own
-cluster), as a reference line.  The cluster stage then
-merges clusters Boruvka-style over one contracting edge list: the first
-round lists every edge that crosses two clusters once, in stored
-(smaller endpoint, larger endpoint) order, and gives each an int64 rank
-key whose order is (weight, smaller endpoint, larger endpoint), so
-nothing is sorted.  Each round every live cluster hooks onto its
+and pointer jumping (``fleet.beam_components``), the founders as a
+fixpoint of min-label passes over the subjection DAG (under
+``koag_seeded`` the kernels found, so one label pass sequence gives
+every kernel's claim), the picks by a BFS over all clusters at once;
+koag's beam loop then runs only over the beams the kernels left with a
+free end.  Hooking and pointer jumping end within O(log n) rounds;
+the founder rounds, label passes and BFS levels need not (founding
+order is a lexicographically first greedy choice, and DAGs and
+clusters can be deep), so each of these three has a budget, and past
+one the sequential reap runs instead.  ``mode="boruvka"`` skips the
+node stage (every node its own cluster), as a reference line.  The
+cluster stage then merges clusters Boruvka-style over one contracting
+edge list: the first round lists every edge that crosses two clusters
+once, in stored (smaller endpoint, larger endpoint) order, and gives
+each an int64 rank key whose order is (weight, smaller endpoint, larger
+endpoint), so nothing is sorted.  Each round every live cluster hooks onto its
 crossing edge with the least key, the hooks are flattened into fresh
 cluster ids, and the keys of edges now inside a cluster are dropped for
 good.  Dropping them (the melioration) only shrinks what later rounds
@@ -49,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InconsistentModel, NoProgress
-from .fleet import FleetModel, build_fleet
+from .fleet import FleetModel, _jump, beam_components, build_fleet, half_beams
 from .graph import Graph, Weight, decimal_places, format_weight
 
 MODES = ("oag_then_merge", "ooag", "koag_seeded")
@@ -159,12 +161,11 @@ class Forest:
 # ---------------------------------------------------------------------------
 
 
-# Budgets of the array stage.  The founding order is a lexicographically
-# first greedy choice, so no pass count holds on every input; past any of
-# these the stage hands over to the sequential reap, which is exact on all.
+# Budgets of the three array-stage loops that can run long (module
+# docstring); past any of them the stage hands over to the sequential
+# reap, which is exact on all inputs.
 MAX_FOUNDER_ROUNDS = 8
 MAX_LABEL_PASSES = 32
-MAX_JUMPS = 12  # pointer-jumping rounds (trees up to 4096 deep) and hook rounds
 MIN_LEVELS = 1024
 UNITS_PER_LEVEL = 1024  # nodes plus forward arcs per allowed BFS level
 
@@ -212,7 +213,7 @@ def sequential_stage(g: Graph, f: FleetModel, mode: str, kernels=()) -> Forest:
             touches += _reap((x, y), fwd_ptr, fwd, cl, parent)
             k += 1
     else:
-        a, b = _half_beams(f)
+        a, b = half_beams(f)
         k, more = _beam_loop(zip(a.tolist(), b.tolist()), fwd_ptr, fwd, cl, parent, k)
         touches += more
     return _forest(g, f, np.array(cl, dtype=np.int64), np.array(parent, dtype=np.int64), k, touches)
@@ -270,13 +271,6 @@ def _forest(g: Graph, f: FleetModel, cl: np.ndarray, parent: np.ndarray, k: int,
     return forest
 
 
-def _half_beams(f: FleetModel) -> tuple[np.ndarray, np.ndarray]:
-    """Every beam once as (a, b) with a < b, sorted."""
-    a = np.repeat(np.arange(f.n), np.diff(f.beam_indptr))
-    half = a < f.beam_leaves
-    return a[half], f.beam_leaves[half]
-
-
 def _forward_arcs(f: FleetModel) -> tuple[np.ndarray, np.ndarray]:
     """The arcs a reap across beams follows, as CSR: each node's
     reverse-subjection children, then its beam partners, each ascending."""
@@ -286,45 +280,6 @@ def _forward_arcs(f: FleetModel) -> tuple[np.ndarray, np.ndarray]:
     fwd[np.arange(f.rev_children.size) + np.repeat(beam_ptr[:-1], np.diff(rev_ptr))] = f.rev_children
     fwd[np.arange(f.beam_leaves.size) + np.repeat(rev_ptr[1:], np.diff(beam_ptr))] = f.beam_leaves
     return ptr, fwd
-
-
-def _jump(p: np.ndarray, dist: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
-    """Pointer jumping: every node of the forest p (roots point at
-    themselves) pointed straight at its root; None when a node lies more
-    than 2**MAX_JUMPS deep.  With ``dist`` (1 per non-root, 0 per root)
-    it becomes each node's distance to its root, in place (list ranking)."""
-    for _ in range(MAX_JUMPS + 1):
-        up = p[p]
-        if np.array_equal(up, p):
-            return p
-        if dist is not None:
-            dist += dist[p]
-        p = up
-    return None
-
-
-def beam_components(f: FleetModel) -> Optional[np.ndarray]:
-    """Each node's beam component, labelled by its smallest member; None
-    when a budget runs out.  Every node first hooks onto its smallest
-    partner if that is smaller; then, until no beam crosses two roots,
-    each root hooks onto its smallest neighbouring root, and pointer
-    jumping flattens the hooks (Shiloach & Vishkin)."""
-    ptr, partner = f.beam_indptr, f.beam_leaves
-    lab = np.arange(f.n)
-    member = np.flatnonzero(np.diff(ptr))
-    lab[member] = np.minimum(member, partner[ptr[member]])
-    a, b = _half_beams(f)
-    for _ in range(MAX_JUMPS):
-        lab = _jump(lab)
-        if lab is None:
-            return None
-        la, lb = lab[a], lab[b]
-        cross = la != lb
-        if not cross.any():
-            return lab
-        a, b, la, lb = a[cross], b[cross], la[cross], lb[cross]
-        np.minimum.at(lab, np.maximum(la, lb), np.minimum(la, lb))
-    return None
 
 
 def _min_labels(c: np.ndarray, src: np.ndarray, dst: np.ndarray) -> Optional[np.ndarray]:
@@ -419,8 +374,6 @@ def array_stage(
     ids = np.arange(n)
     iso = f.isolated
     comp = beam_components(f)
-    if comp is None:
-        return None
     down = (comp[f.rev_children], comp[np.repeat(ids, np.diff(f.rev_indptr))])
 
     if mode == "ooag":
@@ -432,8 +385,6 @@ def array_stage(
         chain = np.zeros(n, dtype=np.int64)
         chain[climb] = 1
         top = _jump(top, chain)
-        if top is None:
-            return None
         nominee = comp[top[nominators]]
     else:
         nominators = np.flatnonzero(np.diff(f.beam_indptr))
@@ -500,7 +451,7 @@ def _koag_stage(g: Graph, f: FleetModel, kernel_of: np.ndarray) -> Optional[Fore
     claimed = cl >= 0
     touches = int(np.diff(f.rev_indptr)[claimed].sum())
 
-    a, b = _half_beams(f)
+    a, b = half_beams(f)
     loose = ~(claimed[a] & claimed[b])
     if loose.any():
         # The beam loop runs in local ids over the free nodes and the ends
@@ -617,11 +568,7 @@ def merge_round(g: Graph, forest: Forest) -> Forest:
     child = parent != ids
     e = col[child]
     forest.merged.append((forest.edge_ends[:, e], forest.edge_w[e]))
-    while True:
-        up = parent[parent]
-        if np.array_equal(up, parent):
-            break
-        parent = up
+    parent = _jump(parent)
 
     roots = np.flatnonzero(parent == ids)
     fresh = np.empty(k, dtype=np.int64)

@@ -12,6 +12,10 @@ the arcs at their root's MVC; everything else (targets, the beam and
 reverse-subjection indexes, the towboat and boat flags) is read off
 those arcs alone.  Each such arc (r, l) is a beam when w = mvc(l), else
 r subjects strictly to l, since mvc(l) <= w always.
+
+Components are labelled in one place: ``_hook`` (hooking and pointer
+jumping, no round budget) gives the beam components the node stage and
+kernel detection start from, and the flotillas.
 """
 
 from __future__ import annotations
@@ -160,13 +164,8 @@ class FleetModel:
     def beams(self) -> frozenset[tuple[int, int]]:
         """All beam pairs {r, l} as (min, max) tuples."""
         if self._beams is None:
-            src = np.repeat(
-                np.arange(self.n, dtype=np.int64), np.diff(self.beam_indptr)
-            )
-            keep = src < self.beam_leaves
-            self._beams = frozenset(
-                zip(src[keep].tolist(), self.beam_leaves[keep].tolist())
-            )
+            a, b = half_beams(self)
+            self._beams = frozenset(zip(a.tolist(), b.tolist()))
         return self._beams
 
     # -- classification and charge ---------------------------------------
@@ -272,42 +271,74 @@ def trace_chain(f: FleetModel, start: int) -> list[int]:
     return path
 
 
+def half_beams(f: FleetModel) -> tuple[np.ndarray, np.ndarray]:
+    """Every beam once as (a, b) with a < b, sorted."""
+    a = np.repeat(np.arange(f.n), np.diff(f.beam_indptr))
+    half = a < f.beam_leaves
+    return a[half], f.beam_leaves[half]
+
+
+def _jump(p: np.ndarray, dist: Optional[np.ndarray] = None) -> np.ndarray:
+    """Pointer jumping: every node of the forest p (roots point at
+    themselves) pointed straight at its root.  Each pass halves every
+    depth, so it ends within ceil(log2 n) + 1 passes.  With ``dist`` (1
+    per non-root, 0 per root) it becomes each node's distance to its
+    root, in place (list ranking)."""
+    while True:
+        up = p[p]
+        if np.array_equal(up, p):
+            return p
+        if dist is not None:
+            dist += dist[p]
+        p = up
+
+
+def _hook(lab: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The components of the edges (a, b), each node labelled by its
+    smallest member (Shiloach & Vishkin).  ``lab`` is a forest in which
+    every node points at a member of its component no larger than
+    itself.  Each round pointer jumping flattens it and every root hooks
+    onto the smallest root across an edge, if that is smaller.  A root
+    with such an edge hooks, is hooked onto, or is a local minimum whose
+    neighbours all hooked onto smaller roots, and then hooks the next
+    round; so the unfinished components at least halve every two rounds,
+    and the loop ends within 2 * ceil(log2 n) + 2 rounds."""
+    while True:
+        lab = _jump(lab)
+        la, lb = lab[a], lab[b]
+        cross = la != lb
+        if not cross.any():
+            return lab
+        a, b, la, lb = a[cross], b[cross], la[cross], lb[cross]
+        np.minimum.at(lab, np.maximum(la, lb), np.minimum(la, lb))
+
+
+def beam_components(f: FleetModel) -> np.ndarray:
+    """Each node's beam component, labelled by its smallest member.
+    Every node first hooks onto its smallest partner if that is smaller;
+    ``_hook`` joins the rest."""
+    ptr, partner = f.beam_indptr, f.beam_leaves
+    lab = np.arange(f.n)
+    member = np.flatnonzero(np.diff(ptr))
+    lab[member] = np.minimum(member, partner[ptr[member]])
+    return _hook(lab, *half_beams(f))
+
+
 def flotillas(f: FleetModel) -> list[Flotilla]:
-    """Weakly connected components of the cutting graph (subjection + beams)."""
-    n = f.n
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    rev_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(f.rev_indptr))
-    for l, r in zip(rev_src.tolist(), f.rev_children.tolist()):
-        union(l, r)
-    beam_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(f.beam_indptr))
-    for a, b in zip(beam_src.tolist(), f.beam_leaves.tolist()):
-        if a < b:
-            union(a, b)
-
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        if f.isolated[v]:
-            continue
-        groups.setdefault(find(v), []).append(v)
-
-    out = []
-    for root in sorted(groups):
-        members = tuple(groups[root])
-        mset = set(members)
-        pairs = tuple(
-            sorted(p for p in f.beams if p[0] in mset)
-        )
-        out.append(Flotilla(members, pairs))
-    return out
+    """Weakly connected components of the cutting graph (subjection +
+    beams), each with its members and beam pairs ascending, ordered by
+    smallest member; isolated nodes belong to none."""
+    a, b = half_beams(f)
+    subject = np.repeat(np.arange(f.n), np.diff(f.rev_indptr))
+    lab = _hook(np.arange(f.n), np.concatenate((subject, a)), np.concatenate((f.rev_children, b)))
+    nodes = np.flatnonzero(~f.isolated)
+    nodes = nodes[np.argsort(lab[nodes], kind="stable")]
+    heads, starts = np.unique(lab[nodes], return_index=True)
+    order = np.argsort(lab[a], kind="stable")
+    pairs = np.stack((a[order], b[order]), axis=1)
+    members = np.split(nodes, starts[1:])
+    beams = np.split(pairs, np.searchsorted(lab[pairs[:, 0]], heads[1:]))
+    return [
+        Flotilla(tuple(m.tolist()), tuple(map(tuple, p.tolist())))
+        for m, p in zip(members[: heads.size], beams)
+    ]

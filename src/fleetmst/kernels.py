@@ -2,9 +2,9 @@
 
 A kernel is a beam component in which no member subjects to anything
 lighter (every member has an empty towboat component S).  Detection
-labels the beam components by hooking and pointer jumping (the node
-stage's ``beam_components``) and drops every component with a
-disqualified member, in whole-array steps.  The number of kernels is
+labels the beam components by hooking and pointer jumping
+(``fleet.beam_components``, which the node stage starts from too) and
+drops every component with a disqualified member, in whole-array steps.  The number of kernels is
 the intrinsic k value of the instance.
 """
 
@@ -15,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import Forest, array_stage, beam_components, sequential_stage
-from .fleet import FleetModel
+from .engine import Forest, array_stage, sequential_stage
+from .fleet import FleetModel, beam_components
 from .graph import Graph
 
 
@@ -45,32 +45,12 @@ class KernelReport:
         return [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
 
 
-def _components_by_search(f: FleetModel) -> np.ndarray:
-    """Beam component labels, as ``beam_components`` gives them, by a
-    plain search; for inputs on which hooking runs past its budget."""
-    ptr, partner = f.beam_indptr.tolist(), f.beam_leaves.tolist()
-    lab = list(range(f.n))
-    for s in range(f.n):
-        if lab[s] < s:
-            continue
-        stack = [s]
-        while stack:
-            y = stack.pop()
-            for b in partner[ptr[y] : ptr[y + 1]]:
-                if lab[b] == b and b != s:
-                    lab[b] = s
-                    stack.append(b)
-    return np.array(lab, dtype=np.int64)
-
-
 def detect_kernels(f: FleetModel, strict: bool = False) -> KernelReport:
     """The beam components none of whose members has a towboat.  With
     strict=True the pure-beam rule applies: members must have J and S
     both empty."""
     n = f.n
     lab = beam_components(f)
-    if lab is None:
-        lab = _components_by_search(f)
     member = np.diff(f.beam_indptr) > 0
     bad = f.has_towboat | f.has_boat if strict else f.has_towboat
     spoilt = np.zeros(n, dtype=bool)

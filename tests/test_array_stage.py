@@ -99,7 +99,10 @@ def test_array_stage_matches_the_sequential_stage_on_random_graphs(mode):
 )
 def test_deep_inputs_take_the_fallback(name, g, falls_back):
     """Each of these runs one of the array stage's loops past its budget
-    under ``falls_back``; the stage then returns the sequential forest."""
+    under ``falls_back``; the stage then returns the sequential forest.
+    ``equal_path`` runs past the BFS levels (one 5,000-node cluster),
+    ``increasing_path`` past the label passes (a 4,999-arc subjection
+    chain) and ``chain`` under ``ooag`` past the founder rounds."""
     for mode in STAGE_MODES:
         f = build_fleet(g)
         array, want = stages(g, f, mode)

@@ -200,10 +200,17 @@ def test_bench_wall_time_covers_the_phases(tmp_path):
         ["bench", "--grid", "5,x", "--csv", "{tmp}/b.csv"],
         ["bench", "--grid", "3", "--repeats", "0", "--csv", "{tmp}/b.csv"],
         ["bench", "--family", "hypercube", "--grid", "3", "--csv", "{tmp}/b.csv"],
+        # Sizes numpy refuses at once (728 TiB, beyond the address space).
+        ["gen", "path", "--n", "99999999999999", "--out", "{tmp}/g.txt"],
+        ["bench", "--family", "path", "--grid", "99999999999999", "--csv", "{tmp}/b.csv"],
+        ["build", "{tmp}/huge.txt", "--out", "{tmp}/t.txt"],
+        ["verify", "{tmp}/huge.txt", "{tmp}/g3.txt"],
+        ["kvalue", "{tmp}/huge.txt"],
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     main(["gen", "lattice", "--p", "3", "--out", str(tmp_path / "g3.txt")])
+    (tmp_path / "huge.txt").write_text("99999999999999 0\n")
     capsys.readouterr()
     try:
         rc = main([a.replace("{tmp}", str(tmp_path)) for a in argv])

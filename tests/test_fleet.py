@@ -127,3 +127,36 @@ def test_towboat_and_boat_flags_match_classify(corpus):
             boats, _, towboats = f.classify(r)
             assert f.has_towboat[r] == bool(towboats)
             assert f.has_boat[r] == bool(boats)
+
+
+def test_flotillas_are_the_components_of_subjection_and_beams(corpus):
+    for spec, g in corpus[::3]:
+        f = build_fleet(g)
+        flos = flotillas(f)
+        where = {}
+        for i, flo in enumerate(flos):
+            assert list(flo.members) == sorted(flo.members), spec.token()
+            for v in flo.members:
+                assert v not in where, spec.token()
+                where[v] = i
+        assert sorted(where) == [v for v in range(g.n) if not f.isolated[v]], spec.token()
+        assert [flo.members[0] for flo in flos] == sorted(flo.members[0] for flo in flos), spec.token()
+
+        links = {v: set() for v in where}
+        for r in where:
+            for l in f.classify(r).S:  # r subjects strictly to l
+                links[r].add(l)
+                links[l].add(r)
+        for a, b in f.beams:
+            links[a].add(b)
+            links[b].add(a)
+        for v, near in links.items():
+            assert all(where[u] == where[v] for u in near), spec.token()
+        for flo in flos:
+            assert flo.beam_pairs == tuple(sorted(p for p in f.beams if p[0] in flo.members)), spec.token()
+            seen, stack = {flo.members[0]}, [flo.members[0]]
+            while stack:
+                for u in links[stack.pop()] - seen:
+                    seen.add(u)
+                    stack.append(u)
+            assert seen == set(flo.members), spec.token()

@@ -3,12 +3,12 @@ from collections import deque
 
 import numpy as np
 
-from fleetmst.baselines import kruskal, verify_spanning_forest
-from fleetmst.engine import beam_components, run
-from fleetmst.fleet import build_fleet
+from fleetmst.baselines import _components, kruskal, verify_spanning_forest
+from fleetmst.engine import run
+from fleetmst.fleet import beam_components, build_fleet, half_beams
 from fleetmst.generators import random_gnm
-from fleetmst.graph import build_graph
-from fleetmst.kernels import _components_by_search, detect_kernels, k_value, koag_seed
+from fleetmst.graph import build_graph, graph_from_arrays
+from fleetmst.kernels import detect_kernels, k_value, koag_seed
 from test_array_stage import bench_lattices, equal_path
 
 TWO_TRIANGLES = build_graph(
@@ -69,15 +69,24 @@ def test_detection_matches_the_beam_walk(corpus):
             assert rep.sizes.tolist() == [len(kern) for kern in rep.kernels]
 
 
-def test_component_search_matches_hooking(corpus):
-    for spec, g in corpus[::3]:
+def shuffled_equal_path(n, seed):
+    """An equal-weight path through all n nodes in a random order: one
+    beam component that hooking needs many rounds to join."""
+    order = np.random.default_rng(seed).permutation(n)
+    return graph_from_arrays(n, order[:-1], order[1:], np.ones(n - 1, dtype=np.int64), 1)
+
+
+def test_beam_components_match_the_oracle(corpus):
+    graphs = [(spec.token(), g) for spec, g in corpus[::3]]
+    graphs += [("equal_path", equal_path(5000))]
+    graphs += [(f"shuffled_equal_path {n}", shuffled_equal_path(n, seed=n)) for n in (5000, 2**16)]
+    for name, g in graphs:
         f = build_fleet(g)
-        assert np.array_equal(_components_by_search(f), beam_components(f)), spec.token()
+        assert np.array_equal(beam_components(f), _components(g.n, *half_beams(f))), name
 
 
-def test_detection_past_the_hooking_budget_matches_the_beam_walk():
+def test_detection_on_a_long_equal_path_matches_the_beam_walk():
     f = build_fleet(equal_path(5000))
-    assert beam_components(f) is None
     for strict in (False, True):
         rep = detect_kernels(f, strict=strict)
         assert (rep.kernels, rep.k, rep.arc_touches) == walk_kernels(f, strict)
