@@ -2,7 +2,9 @@
 cycle-property certificate for a claimed spanning forest.
 
 These never share logic with the staged engine; they only read graphs
-through the graph module, so an engine bug cannot cancel out here.
+through the graph module, so an engine bug cannot cancel out here.  The
+certificate builds its own Borůvka tree of the claimed forest (King
+1997) with its own hooking and pointer jumping, not the engine's.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
-from operator import itemgetter
 
 import numpy as np
 
@@ -167,6 +168,14 @@ def brute_force(g: Graph) -> Weight:
 Witness = tuple[tuple[int, int, Weight], tuple[int, int, Weight]]
 
 
+class Problems(list):
+    """The violated properties of a claimed forest, in check order; empty
+    when it is valid.  When the certificate finds it not minimum,
+    ``witness`` holds the edge pair ``minimality_witness`` returns."""
+
+    witness: Witness | None = None
+
+
 def _scaled_claims(ws, scale: int) -> np.ndarray | None:
     """Claimed weights in units of 1/scale as int64, or None unless each
     is an integer there that fits."""
@@ -189,6 +198,37 @@ def _scaled_claims(ws, scale: int) -> np.ndarray | None:
         return None
 
 
+def _claim_columns(edges, n: int, scale: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The claims as int64 columns: the smaller end, the larger end and
+    the weight in units of 1/scale.  Raises NotASpanningForest('unknown
+    edge') unless every claim is (u, v, w) with integer ids in range and
+    w an integer at that scale that fits in int64."""
+    unknown = NotASpanningForest("unknown edge")
+    if not edges:
+        return (np.zeros(0, dtype=np.int64),) * 3
+    try:
+        cols = np.array(edges)
+    except ValueError:  # claims of different lengths
+        raise unknown from None
+    if cols.ndim != 2 or cols.shape[1] != 3:
+        raise unknown
+    fits = np.iinfo(np.int64).max // scale
+    if cols.dtype.kind == "i" and -fits <= cols[:, 2].min() and cols[:, 2].max() <= fits:
+        cols = cols.astype(np.int64, copy=False)
+        ends, cw = cols[:, :2].T, cols[:, 2] * scale
+    else:
+        # Fractions, floats, strings, ids or weights beyond int64: look
+        # at each claimed item as given.
+        ends = np.array(([e[0] for e in edges], [e[1] for e in edges]))
+        cw = _scaled_claims([e[2] for e in edges], scale)
+        if ends.dtype.kind not in "iu" or cw is None:
+            raise unknown
+    if ends.min() < 0 or ends.max() >= n:
+        raise unknown
+    u, v = ends.astype(np.int64, copy=False)
+    return np.minimum(u, v), np.maximum(u, v), cw
+
+
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Label every node with the smallest id of its component under the
     edges (a, b): hook each root onto the smallest root it touches, then
@@ -196,10 +236,11 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     label = np.arange(n, dtype=a.dtype)
     while True:
         la, lb = label[a], label[b]
-        cross = la != lb
-        if not cross.any():
+        cross = np.flatnonzero(la != lb)
+        if cross.size == 0:
             return label
-        np.minimum.at(label, np.maximum(la, lb)[cross], np.minimum(la, lb)[cross])
+        la, lb = la[cross], lb[cross]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
         while True:
             up = label[label]
             if np.array_equal(up, label):
@@ -238,68 +279,72 @@ def _root(n, roots, a, b, w):
     return parent, pw, depth
 
 
-def _path_max(parent, pw, depth, a, b):
-    """Heaviest forest edge on the path between a[i] and b[i], for nodes
-    of one component, by binary lifting over ancestor tables."""
-    up, mx = [parent], [pw]
-    for _ in range(1, int(depth.max()).bit_length()):
-        p = up[-1]
-        mx.append(np.maximum(mx[-1], mx[-1][p]))
-        up.append(p[p])
-    swap = depth[a] < depth[b]
-    a, b = np.where(swap, b, a), np.where(swap, a, b)
-    diff = depth[a] - depth[b]
-    best = np.zeros(a.size, dtype=pw.dtype)
-    for j in range(len(up)):
-        lift = np.flatnonzero((diff >> j) & 1)
-        la = a[lift]
-        best[lift] = np.maximum(best[lift], mx[j][la])
-        a[lift] = up[j][la]
-    # Same depth now; climb both while their ancestors differ.
-    live = np.flatnonzero(a != b)
-    a, b, acc = a[live], b[live], best[live]
-    for j in reversed(range(len(up))):
-        ua, ub = up[j][a], up[j][b]
-        split = np.flatnonzero(ua != ub)
-        sa, sb = a[split], b[split]
-        acc[split] = np.maximum(acc[split], np.maximum(mx[j][sa], mx[j][sb]))
-        a[split], b[split] = ua[split], ub[split]
-    best[live] = np.maximum(acc, np.maximum(pw[a], pw[b]))
+def _boruvka_tree(n, a, b, w) -> list[tuple[np.ndarray, np.ndarray]]:
+    """King's Borůvka tree of the forest (a, b, w) with positive weights
+    on the nodes 0..n-1, as one (up, top) pair per round.
+
+    A round's clusters are numbered 0..k-1 (round 0: the nodes).  Each
+    cluster with a forest edge leaving it hooks across a lightest one:
+    ``top`` is that weight, 0 for a cluster that is a whole component,
+    and ``up`` maps the cluster to its cluster of the next round, -1 if
+    it is a whole component (it takes no further part).  Every live
+    cluster merges, so a component of s nodes is one cluster after at
+    most ceil(log2 s) rounds.  The heaviest edge on the forest path
+    between two nodes is the heaviest ``top`` met while climbing from
+    both until they share a cluster (King 1997)."""
+    rounds = []
+    k = n
+    none = np.iinfo(w.dtype).max
+    while a.size:
+        top = np.full(k, none, dtype=w.dtype)
+        np.minimum.at(top, a, w)
+        np.minimum.at(top, b, w)
+        # Any edge at a cluster's minimum will do: the clusters are
+        # subtrees, so the hooks close no cycle other than both ends of
+        # one edge picking it, where the smaller id stays root.
+        ids = np.arange(k)
+        hook = ids.copy()
+        at = np.flatnonzero(w == top[a])
+        hook[a[at]] = b[at]
+        at = np.flatnonzero(w == top[b])
+        hook[b[at]] = a[at]
+        hook = np.where((hook[hook] == ids) & (ids < hook), ids, hook)
+        while True:
+            jump = hook[hook]
+            if np.array_equal(jump, hook):
+                break
+            hook = jump
+        live = top != none
+        fresh = np.cumsum((hook == ids) & live) - 1
+        up = np.where(live, fresh[hook], -1)
+        top[~live] = 0
+        rounds.append((up, top))
+        a, b = up[a], up[b]
+        keep = np.flatnonzero(a != b)
+        a, b, w = a[keep], b[keep], w[keep]
+        k = int(fresh[-1]) + 1
+    return rounds
+
+
+def _tree_path_max(rounds, a, b) -> np.ndarray:
+    """Heaviest forest edge on the path between a[i] != b[i], two nodes
+    of one component, read off the Borůvka tree ``rounds``."""
+    best = np.zeros(a.size, dtype=rounds[0][1].dtype)
+    live = np.arange(a.size)
+    for up, top in rounds:
+        best[live] = np.maximum(best[live], np.maximum(top[a], top[b]))
+        a, b = up[a], up[b]
+        apart = np.flatnonzero(a != b)
+        a, b, live = a[apart], b[apart], live[apart]
     return best
 
 
-def minimality_witness(
-    g: Graph, edges: list[tuple[int, int, Weight]]
-) -> Witness | None:
-    """Certify a claimed spanning forest by the cycle property.
-
-    A spanning forest is minimum iff no non-tree edge (u, v, w) is
-    lighter than the heaviest forest edge on the forest path u-v (King
-    1997).  Returns None for a minimum forest, else ((u, v, w), (x, y,
-    w')): the first such non-tree edge, u < v, and a heaviest forest
-    edge on its path, x < y.
-
-    Raises NotASpanningForest naming the first failed structure check:
-    'unknown edge' (a claim that is not an edge of g with that weight;
-    either orientation), 'cycle' or 'not spanning' (some graph edge
-    joins two forest components).
-    """
+def _certify(g: Graph, edges) -> tuple[Witness | None, np.ndarray]:
+    """``minimality_witness``, plus the claimed weights scaled to int64."""
     n = g.n
-    if edges:
-        us, vs, ws = (list(map(itemgetter(i), edges)) for i in range(3))
-        if min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= n:
-            raise NotASpanningForest("unknown edge")
-        ends = np.array((us, vs))
-        cw = _scaled_claims(ws, g.scale)
-        if ends.dtype.kind not in "iu" or cw is None:
-            raise NotASpanningForest("unknown edge")
-        ends.sort(axis=0)
-    else:
-        ends = np.zeros((2, 0), dtype=np.int64)
-        cw = np.zeros(0, dtype=np.int64)
-    ca, cb = ends
+    ca, cb, cw = _claim_columns(edges, n, g.scale)
     src = g.arc_sources()
-    half = src < g.leaves
+    half = np.flatnonzero(src < g.leaves)
     ga, gb, gw = src[half], g.leaves[half], g.weights[half]
     # Arcs are sorted by (source, leaf), so the keys of the a < b half are too.
     keys = ga * n + gb
@@ -310,29 +355,32 @@ def minimality_witness(
 
     label = _components(n, ca, cb)
     roots = np.flatnonzero(label == np.arange(n))
-    if len(edges) != n - roots.size:
+    if cw.size != n - roots.size:
         raise NotASpanningForest("cycle")
     if np.any(label[ga] != label[gb]):
         raise NotASpanningForest("not spanning")
-    if not edges:
-        return None
+    if cw.size == 0:
+        return None, cw
 
     # Only a non-tree edge lighter than the heaviest tree edge can fail.
     query = gw < cw.max()
     query[pos] = False
+    query = np.flatnonzero(query)
     qa, qb, qw = ga[query], gb[query], gw[query]
-    # Free the per-edge arrays before the lifting tables are built.
+    # Free the per-edge arrays before the Borůvka tree is built.
     del half, ga, gb, gw, keys, claimed, pos, label, query
     if qw.size == 0:
-        return None
-    cw = cw.astype(np.min_scalar_type(int(cw.max())))
-    parent, pw, depth = _root(n, roots, ca, cb, cw)
-    bad = np.flatnonzero(_path_max(parent, pw, depth, qa, qb) > qw)
+        return None, cw
+    heaviest = _tree_path_max(_boruvka_tree(n, ca, cb, cw), qa, qb)
+    bad = np.flatnonzero(heaviest > qw)
     if bad.size == 0:
-        return None
+        return None, cw
 
+    # Name a heaviest edge on the first failing path by walking it in
+    # the rooted forest.
     i = int(bad[0])
     x, y = int(qa[i]), int(qb[i])
+    parent, pw, depth = _root(n, roots, ca, cb, cw)
     heavy = None
     while x != y:
         if depth[x] < depth[y]:
@@ -341,32 +389,62 @@ def minimality_witness(
             heavy = (x, int(parent[x]), int(pw[x]))
         x = int(parent[x])
     hx, hy, hw = heavy
-    return (
+    witness = (
         (int(qa[i]), int(qb[i]), g.unscale(int(qw[i]))),
         (min(hx, hy), max(hx, hy), g.unscale(hw)),
     )
+    return witness, cw
+
+
+def minimality_witness(
+    g: Graph, edges: list[tuple[int, int, Weight]]
+) -> Witness | None:
+    """Certify a claimed spanning forest by the cycle property.
+
+    A spanning forest is minimum iff no non-tree edge (u, v, w) is
+    lighter than the heaviest forest edge on the forest path u-v.  The
+    path maxima are read off King's (1997) Borůvka tree of the claimed
+    forest, O(log n) array rounds whatever the forest's depth.  Returns
+    None for a minimum forest, else ((u, v, w), (x, y, w')): the first
+    such non-tree edge, u < v, and a heaviest forest edge on its path,
+    x < y.
+
+    Raises NotASpanningForest naming the first failed structure check:
+    'unknown edge' (a claim that is not an edge of g with that weight;
+    either orientation), 'cycle' or 'not spanning' (some graph edge
+    joins two forest components).
+    """
+    return _certify(g, edges)[0]
+
+
+def _exact_total(cw: np.ndarray) -> int:
+    """The sum of positive int64 weights, without overflow."""
+    if cw.size == 0 or int(cw.max()) * cw.size < 2**63:
+        return int(cw.sum())
+    return sum(cw.tolist())
 
 
 def verify_spanning_forest(
     g: Graph,
     edges: list[tuple[int, int, Weight]],
     expected_total: Weight | None = None,
-) -> list[str]:
+) -> Problems:
     """Check a claimed tree/forest against the graph.
 
     Returns the violated property, in check order: 'unknown edge',
     'cycle', 'not spanning', 'not minimum'.  Empty list means valid.
     Minimality is certified by ``minimality_witness``, without any
-    reference MST; a forest whose total differs from ``expected_total``,
+    reference MST, and the pair it names is kept as the result's
+    ``witness``; a forest whose total differs from ``expected_total``,
     when given, is also 'not minimum'."""
     try:
-        witness = minimality_witness(g, edges)
+        witness, cw = _certify(g, edges)
     except NotASpanningForest as exc:
-        return [exc.problem]
+        return Problems([exc.problem])
     if witness is not None:
-        return ["not minimum"]
-    if expected_total is not None:
-        total = sum(_scaled_claims([w for _, _, w in edges], g.scale).tolist())
-        if g.unscale(total) != expected_total:
-            return ["not minimum"]
-    return []
+        problems = Problems(["not minimum"])
+        problems.witness = witness
+        return problems
+    if expected_total is not None and g.unscale(_exact_total(cw)) != expected_total:
+        return Problems(["not minimum"])
+    return Problems()

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import baselines, engine, generators, kernels
-from .errors import GraphError, InvalidWeight, ParseError
+from .errors import GraphError, InvalidWeight, NotASpanningForest, ParseError
 from .fleet import build_fleet
 from .graph import _as_fraction, format_weight, read_graph, write_graph
 
@@ -180,8 +180,8 @@ def cmd_verify(args) -> int:
     if not problems:
         print("OK")
         return 0
-    if problems[0] == "not minimum":
-        (u, v, w), (x, y, wt) = baselines.minimality_witness(g, edges)
+    if problems.witness is not None:
+        (u, v, w), (x, y, wt) = problems.witness
         print(
             f"FAIL: not minimum: non-tree edge ({u}, {v}, {_weight_text(g, w)}) is lighter"
             f" than tree edge ({x}, {y}, {_weight_text(g, wt)}) on its path"
@@ -216,6 +216,9 @@ def _bench_row(spec, algo, g, repeats):
         runs.append((time.perf_counter() - t0, res))
     # The median run (the lower one for an even count) gives every column.
     wall, res = sorted(runs, key=lambda r: r[0])[(len(runs) - 1) // 2]
+    problems = baselines.verify_spanning_forest(g, res.edges)
+    if problems:
+        raise NotASpanningForest(problems[0])
     phases = res.phase_seconds or {}
     ratio = g.n / res.comparisons if res.comparisons else ""
     return {

@@ -1,11 +1,13 @@
+import math
 import random
 import time
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from fleetmst import baselines
+from fleetmst import baselines, engine, fleet
 from fleetmst.baselines import (
     DisjointSet,
     brute_force,
@@ -15,7 +17,7 @@ from fleetmst.baselines import (
     verify_spanning_forest,
 )
 from fleetmst.errors import NotASpanningForest, TooLarge
-from fleetmst.generators import complete, random_gnm
+from fleetmst.generators import complete, lattice8, random_gnm
 from fleetmst.graph import build_graph
 
 TRIANGLE = build_graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
@@ -180,6 +182,26 @@ def test_verify_out_of_range_ids_are_unknown_edges(bad):
     assert verify_spanning_forest(TRIANGLE, [(0, 1, 1), (2, bad, 2)]) == ["unknown edge"]
 
 
+@pytest.mark.parametrize(
+    "claims",
+    [
+        [(0, 1, 1), ("1", 2, 2)],
+        [(0, 1, 1), (1, 2)],
+        [(0, 1)],
+        [(0, 1, 1), (1, 2, 2, 0)],
+        [(0, 1, 1), None],
+        [(0, 1, 1), "12"],
+        [(0, 1, 1), (1.0, 2, 2)],
+        [(0, 1, 1), (1, 2, [2])],
+    ],
+)
+def test_verify_malformed_claims_are_unknown_edges(claims):
+    assert verify_spanning_forest(TRIANGLE, claims) == ["unknown edge"]
+    with pytest.raises(NotASpanningForest) as exc:
+        minimality_witness(TRIANGLE, claims)
+    assert exc.value.problem == "unknown edge"
+
+
 def test_verify_duplicated_claim_is_a_cycle():
     assert verify_spanning_forest(TRIANGLE, [(0, 1, 1), (1, 2, 2), (1, 0, 1)]) == ["cycle"]
     assert verify_spanning_forest(TRIANGLE, [(0, 1, 1), (0, 1, 1)]) == ["cycle"]
@@ -217,6 +239,109 @@ def test_verify_checks_the_expected_total():
     tree = [(0, 1, 1), (1, 2, 2)]
     assert verify_spanning_forest(TRIANGLE, tree, 3) == []
     assert verify_spanning_forest(TRIANGLE, tree, 4) == ["not minimum"]
+
+
+def test_verify_expected_total_on_a_decimal_scale(monkeypatch):
+    calls = []
+    scaled = baselines._scaled_claims
+
+    def counted(ws, scale):
+        calls.append(scale)
+        return scaled(ws, scale)
+
+    monkeypatch.setattr(baselines, "_scaled_claims", counted)
+    step = Fraction(1, 10)
+    g = build_graph(3, [(0, 1, 3 * step), (1, 2, 7 * step), (0, 2, 1)])
+    tree = [(0, 1, 3 * step), (1, 2, 7 * step)]
+    assert verify_spanning_forest(g, tree, Fraction(1)) == []
+    assert verify_spanning_forest(g, tree, Fraction(11, 10)) == ["not minimum"]
+    # The claimed weights are converted once per call, by the intake.
+    assert calls == [10, 10]
+
+
+def test_verify_expected_total_beyond_int64():
+    big = 2**62
+    g = build_graph(4, [(0, 1, big), (1, 2, big + 1), (2, 3, big + 2), (0, 3, big + 3)])
+    tree = [(0, 1, big), (1, 2, big + 1), (2, 3, big + 2)]
+    assert verify_spanning_forest(g, tree) == []
+    assert verify_spanning_forest(g, tree, 3 * big + 3) == []
+    assert verify_spanning_forest(g, tree, 3 * big + 2) == ["not minimum"]
+    # What an int64 sum would wrap to.
+    assert verify_spanning_forest(g, tree, 3 * big + 3 - 2**64) == ["not minimum"]
+
+
+def test_verify_shares_no_code_with_the_engine(monkeypatch):
+    g = lattice8(12, (1, 2, 3), seed=5)
+    tree = kruskal(g).edges
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the verifier must not call the engine")
+
+    for module, name in ((fleet, "_jump"), (fleet, "_hook"), (engine, "merge_round")):
+        monkeypatch.setattr(module, name, boom)
+    assert verify_spanning_forest(g, tree) == []
+    assert verify_spanning_forest(g, tree[1:]) == ["not spanning"]
+    g4 = build_graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 2, 5), (1, 3, 4)])
+    assert minimality_witness(g4, [(0, 1, 1), (0, 2, 5), (2, 3, 3)]) == ((1, 2, 2), (0, 2, 5))
+
+
+def _random_forest(rng, n):
+    """Edges of a random forest on n nodes: several trees and isolated
+    nodes, weights from a small set so that ties are common."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges = []
+    for v in range(1, n):
+        if rng.random() < 0.85:
+            u = rng.randrange(max(0, v - rng.choice((1, 3, n))), v)
+            edges.append((ids[u], ids[v], rng.randint(1, 3)))
+    return edges
+
+
+def _path_max_by_walk(n, edges):
+    """Heaviest edge on the forest path between every connected pair."""
+    adj = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    heaviest = {}
+    for s in range(n):
+        stack, seen = [(s, 0)], {s}
+        while stack:
+            x, best = stack.pop()
+            heaviest[s, x] = best
+            for y, w in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append((y, max(best, w)))
+    return heaviest
+
+
+def test_boruvka_tree_path_max_matches_a_path_walk():
+    rng = random.Random(11)
+    for trial in range(1200):
+        n = rng.randint(1, 40)
+        edges = _random_forest(rng, n)
+        a, b, w = (np.array([e[i] for e in edges], dtype=np.int64) for i in range(3))
+        rounds = baselines._boruvka_tree(n, a, b, w)
+        assert len(rounds) <= math.ceil(math.log2(n)) + 1
+        walk = _path_max_by_walk(n, edges)
+        pairs = [(x, y) for (x, y) in walk if x != y]
+        if not pairs:
+            continue
+        qa, qb = (np.array(c, dtype=np.int64) for c in zip(*pairs))
+        got = baselines._tree_path_max(rounds, qa, qb)
+        assert got.tolist() == [walk[p] for p in pairs], (trial, edges)
+
+
+def test_boruvka_tree_rounds_are_logarithmic_on_a_long_path():
+    n = 4096
+    ids = np.random.default_rng(3).permutation(n)
+    for w in (np.ones(n - 1, dtype=np.int64), np.arange(1, n, dtype=np.int64)):
+        rounds = baselines._boruvka_tree(n, ids[:-1], ids[1:], w)
+        assert len(rounds) <= math.ceil(math.log2(n)) + 1
+        got = baselines._tree_path_max(rounds, ids[:1], ids[-1:])
+        assert got.tolist() == [w.max()]
 
 
 def test_minimality_witness_names_both_edges():

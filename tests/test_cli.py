@@ -1,8 +1,9 @@
 import csv
+import dataclasses
 
 import pytest
 
-from fleetmst import engine
+from fleetmst import baselines, engine
 from fleetmst.cli import CSV_HEADER, main
 from fleetmst.graph import read_graph
 
@@ -68,6 +69,26 @@ def test_verify_names_the_edges_that_break_minimality(tmp_path, capsys):
     out = capsys.readouterr().out.strip()
     assert out.startswith("FAIL: not minimum: ")
     assert "(1, 2, 2)" in out and "(0, 2, 5)" in out
+
+
+def test_verify_computes_the_certificate_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    certify = baselines._certify
+
+    def counted(g, edges):
+        calls.append(len(edges))
+        return certify(g, edges)
+
+    monkeypatch.setattr(baselines, "_certify", counted)
+    gpath = tmp_path / "g.txt"
+    tpath = tmp_path / "t.txt"
+    gpath.write_text("4 5\n0 1 1\n1 2 2\n2 3 3\n0 2 5\n1 3 4\n")
+    tpath.write_text("4 0 9 0\n0 1 1\n0 2 5\n2 3 3\n")
+    assert main(["verify", str(gpath), str(tpath)]) == 1
+    assert calls == [3]
+    assert capsys.readouterr().out == (
+        "FAIL: not minimum: non-tree edge (1, 2, 2) is lighter than tree edge (0, 2, 5) on its path\n"
+    )
 
 
 @pytest.mark.parametrize("line", ["0 1 1/0", "0 1", "0 x 1", "0 1 abc"])
@@ -138,6 +159,35 @@ def test_bench_exits_nonzero_when_a_row_fails(tmp_path, monkeypatch, capsys):
         ("kruskal", False),
     ]
     assert "injected failure" in capsys.readouterr().err
+
+
+def test_bench_verifies_each_row_once(tmp_path, monkeypatch, capsys):
+    run = engine.run
+    verify = baselines.verify_spanning_forest
+    checked = []
+
+    def wrong_tree(g, mode="ooag", melioration=True):
+        res = run(g, mode, melioration)
+        return dataclasses.replace(res, edges=res.edges[1:])
+
+    def counted(g, edges, expected_total=None):
+        checked.append(len(edges))
+        return verify(g, edges, expected_total)
+
+    monkeypatch.setattr(engine, "run", wrong_tree)
+    monkeypatch.setattr(baselines, "verify_spanning_forest", counted)
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--grid", "4", "--algos", "ooag,kruskal", "--repeats", "3", "--csv", str(out)]
+    assert main(argv) == 1
+    assert checked == [15 - 1, 15]
+    with open(out, newline="") as fh:
+        assert next(csv.reader(fh)) == CSV_HEADER
+    rows = list(csv.DictReader(open(out, newline="")))
+    assert [(r["algo"], r["total_weight"] == "FAILED") for r in rows] == [
+        ("ooag", True),
+        ("kruskal", False),
+    ]
+    assert "not spanning" in capsys.readouterr().err
 
 
 def test_bench_csv_shape(tmp_path):
