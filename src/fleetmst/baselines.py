@@ -168,14 +168,6 @@ def brute_force(g: Graph) -> Weight:
 Witness = tuple[tuple[int, int, Weight], tuple[int, int, Weight]]
 
 
-class Problems(list):
-    """The violated properties of a claimed forest, in check order; empty
-    when it is valid.  When the certificate finds it not minimum,
-    ``witness`` holds the edge pair ``minimality_witness`` returns."""
-
-    witness: Witness | None = None
-
-
 def _scaled_claims(ws, scale: int) -> np.ndarray | None:
     """Claimed weights in units of 1/scale as int64, or None unless each
     is an integer there that fits."""
@@ -294,9 +286,8 @@ def _boruvka_tree(n, a, b, w) -> list[tuple[np.ndarray, np.ndarray]]:
     both until they share a cluster (King 1997)."""
     rounds = []
     k = n
-    none = np.iinfo(w.dtype).max
     while a.size:
-        top = np.full(k, none, dtype=w.dtype)
+        top = np.full(k, np.iinfo(w.dtype).max, dtype=w.dtype)
         np.minimum.at(top, a, w)
         np.minimum.at(top, b, w)
         # Any edge at a cluster's minimum will do: the clusters are
@@ -314,7 +305,11 @@ def _boruvka_tree(n, a, b, w) -> list[tuple[np.ndarray, np.ndarray]]:
             if np.array_equal(jump, hook):
                 break
             hook = jump
-        live = top != none
+        # Live clusters are those the edges touch: the largest weight
+        # is a legal one, so it cannot also mark "no edge".
+        live = np.zeros(k, dtype=bool)
+        live[a] = True
+        live[b] = True
         fresh = np.cumsum((hook == ids) & live) - 1
         up = np.where(live, fresh[hook], -1)
         top[~live] = 0
@@ -428,23 +423,20 @@ def verify_spanning_forest(
     g: Graph,
     edges: list[tuple[int, int, Weight]],
     expected_total: Weight | None = None,
-) -> Problems:
+) -> list[str]:
     """Check a claimed tree/forest against the graph.
 
     Returns the violated property, in check order: 'unknown edge',
     'cycle', 'not spanning', 'not minimum'.  Empty list means valid.
     Minimality is certified by ``minimality_witness``, without any
-    reference MST, and the pair it names is kept as the result's
-    ``witness``; a forest whose total differs from ``expected_total``,
+    reference MST; a forest whose total differs from ``expected_total``,
     when given, is also 'not minimum'."""
     try:
         witness, cw = _certify(g, edges)
     except NotASpanningForest as exc:
-        return Problems([exc.problem])
+        return [exc.problem]
     if witness is not None:
-        problems = Problems(["not minimum"])
-        problems.witness = witness
-        return problems
+        return ["not minimum"]
     if expected_total is not None and g.unscale(_exact_total(cw)) != expected_total:
-        return Problems(["not minimum"])
-    return Problems()
+        return ["not minimum"]
+    return []

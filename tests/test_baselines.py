@@ -20,6 +20,7 @@ from fleetmst.errors import NotASpanningForest, TooLarge
 from fleetmst.generators import complete, lattice8, random_gnm
 from fleetmst.graph import build_graph
 
+INT64_MAX = 2**63 - 1
 TRIANGLE = build_graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
 
 
@@ -285,16 +286,16 @@ def test_verify_shares_no_code_with_the_engine(monkeypatch):
     assert minimality_witness(g4, [(0, 1, 1), (0, 2, 5), (2, 3, 3)]) == ((1, 2, 2), (0, 2, 5))
 
 
-def _random_forest(rng, n):
+def _random_forest(rng, n, weights):
     """Edges of a random forest on n nodes: several trees and isolated
-    nodes, weights from a small set so that ties are common."""
+    nodes, weights drawn from a small set so that ties are common."""
     ids = list(range(n))
     rng.shuffle(ids)
     edges = []
     for v in range(1, n):
         if rng.random() < 0.85:
             u = rng.randrange(max(0, v - rng.choice((1, 3, n))), v)
-            edges.append((ids[u], ids[v], rng.randint(1, 3)))
+            edges.append((ids[u], ids[v], rng.choice(weights)))
     return edges
 
 
@@ -321,7 +322,7 @@ def test_boruvka_tree_path_max_matches_a_path_walk():
     rng = random.Random(11)
     for trial in range(1200):
         n = rng.randint(1, 40)
-        edges = _random_forest(rng, n)
+        edges = _random_forest(rng, n, (1, 2, 3) if trial % 2 else (1, 2, INT64_MAX))
         a, b, w = (np.array([e[i] for e in edges], dtype=np.int64) for i in range(3))
         rounds = baselines._boruvka_tree(n, a, b, w)
         assert len(rounds) <= math.ceil(math.log2(n)) + 1
@@ -332,6 +333,16 @@ def test_boruvka_tree_path_max_matches_a_path_walk():
         qa, qb = (np.array(c, dtype=np.int64) for c in zip(*pairs))
         got = baselines._tree_path_max(rounds, qa, qb)
         assert got.tolist() == [walk[p] for p in pairs], (trial, edges)
+
+
+def test_certificate_handles_the_largest_int64_weight():
+    g = build_graph(3, [(0, 1, INT64_MAX), (1, 2, 1), (0, 2, 5)])
+    tree = [(0, 1, INT64_MAX), (1, 2, 1)]
+    assert verify_spanning_forest(g, tree) == ["not minimum"]
+    assert minimality_witness(g, tree) == ((0, 2, 5), (0, 1, INT64_MAX))
+    best = [(1, 2, 1), (0, 2, 5)]
+    assert verify_spanning_forest(g, best, 6) == []
+    assert minimality_witness(g, best) is None
 
 
 def test_boruvka_tree_rounds_are_logarithmic_on_a_long_path():

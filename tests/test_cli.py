@@ -163,19 +163,19 @@ def test_bench_exits_nonzero_when_a_row_fails(tmp_path, monkeypatch, capsys):
 
 def test_bench_verifies_each_row_once(tmp_path, monkeypatch, capsys):
     run = engine.run
-    verify = baselines.verify_spanning_forest
+    certify = baselines.minimality_witness
     checked = []
 
     def wrong_tree(g, mode="ooag", melioration=True):
         res = run(g, mode, melioration)
         return dataclasses.replace(res, edges=res.edges[1:])
 
-    def counted(g, edges, expected_total=None):
+    def counted(g, edges):
         checked.append(len(edges))
-        return verify(g, edges, expected_total)
+        return certify(g, edges)
 
     monkeypatch.setattr(engine, "run", wrong_tree)
-    monkeypatch.setattr(baselines, "verify_spanning_forest", counted)
+    monkeypatch.setattr(baselines, "minimality_witness", counted)
     out = tmp_path / "bench.csv"
     argv = ["bench", "--grid", "4", "--algos", "ooag,kruskal", "--repeats", "3", "--csv", str(out)]
     assert main(argv) == 1
