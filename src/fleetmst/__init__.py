@@ -24,26 +24,21 @@ from .engine import (
 from .fleet import (
     FleetModel,
     Flotilla,
-    MvcEntry,
     build_fleet,
-    compute_mvc,
     flotillas,
     trace_chain,
 )
 from .generators import GenSpec, complete, cycle, lattice8, path, random_gnm
 from .graph import (
-    Awt,
     Graph,
     build_graph,
     read_graph,
     total_weight,
-    united_subgraph,
     write_graph,
 )
 from .kernels import KernelReport, detect_kernels, k_value, koag_seed
 
 __all__ = [
-    "Awt",
     "DisjointSet",
     "FleetModel",
     "Flotilla",
@@ -52,12 +47,10 @@ __all__ = [
     "Graph",
     "KernelReport",
     "MstResult",
-    "MvcEntry",
     "brute_force",
     "build_fleet",
     "build_graph",
     "complete",
-    "compute_mvc",
     "cycle",
     "detect_kernels",
     "flotillas",
@@ -75,7 +68,6 @@ __all__ = [
     "run",
     "total_weight",
     "trace_chain",
-    "united_subgraph",
     "verify_spanning_forest",
     "write_graph",
 ]

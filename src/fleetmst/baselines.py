@@ -83,10 +83,12 @@ def kruskal(g: Graph) -> MstResult:
 
 
 def prim(g: Graph, seed: int = 0) -> MstResult:
-    """Binary-heap frontier growth from seed; covers seed's component only."""
-    g._check_id(seed)
+    """Binary-heap frontier growth: a minimum spanning forest, seed's
+    tree first, then a restart from the smallest unvisited node until
+    every node is visited."""
+    if g.n:
+        g._check_id(seed)  # the empty graph has no node to seed from
     visited = [False] * g.n
-    visited[seed] = True
     indptr = g.indptr
     leaves = g.leaves.tolist()
     weights = g.weights.tolist()
@@ -97,19 +99,23 @@ def prim(g: Graph, seed: int = 0) -> MstResult:
             if not visited[leaves[i]]:
                 heapq.heappush(heap, (weights[i], x, leaves[i]))
 
-    push_frontier(seed)
     picked: list[tuple[int, int, int]] = []
     total = 0
     scanned = 0
-    while heap:
-        w, a, b = heapq.heappop(heap)
-        scanned += 1
-        if visited[b]:
+    for start in itertools.chain((seed,), range(g.n)) if g.n else ():
+        if visited[start]:
             continue
-        visited[b] = True
-        picked.append((a, b, w) if a < b else (b, a, w))
-        total += w
-        push_frontier(b)
+        visited[start] = True
+        push_frontier(start)
+        while heap:
+            w, a, b = heapq.heappop(heap)
+            scanned += 1
+            if visited[b]:
+                continue
+            visited[b] = True
+            picked.append((a, b, w) if a < b else (b, a, w))
+            total += w
+            push_frontier(b)
     return MstResult(
         edges=sorted((a, b, g.unscale(w)) for a, b, w in picked),
         total=g.unscale(total),

@@ -2,30 +2,33 @@
 
 The node stage reaps clusters out of the fleet model: beam-seeded
 (``oag_then_merge``), from each node's flotilla top (``ooag``), or
-kernel-seeded (``koag_seeded``).  ``sequential_stage`` defines all
-three, one FIFO reap per cluster in founding order.  ``array_stage``
-computes all three in whole-array steps: beam components by hooking
-and pointer jumping (``fleet.beam_components``), the founders as a
-fixpoint of min-label passes over the subjection DAG (under
-``koag_seeded`` the kernels found, so one label pass sequence gives
-every kernel's claim), the picks by a BFS over all clusters at once;
-koag's beam loop then runs only over the beams the kernels left with a
-free end.  Hooking and pointer jumping end within O(log n) rounds;
-the founder rounds, label passes and BFS levels need not (founding
-order is a lexicographically first greedy choice, and DAGs and
-clusters can be deep), so each of these three has a budget, and past
-one the sequential reap runs instead.  ``mode="boruvka"`` skips the
-node stage (every node its own cluster), as a reference line.  The
-cluster stage then merges clusters Boruvka-style over one contracting
-edge list: the first round lists every edge that crosses two clusters
-once, in stored (smaller endpoint, larger endpoint) order, and gives
-each an int64 rank key whose order is (weight, smaller endpoint, larger
-endpoint), so nothing is sorted.  Each round every live cluster hooks onto its
-crossing edge with the least key, the hooks are flattened into fresh
-cluster ids, and the keys of edges now inside a cluster are dropped for
-good.  Dropping them (the melioration) only shrinks what later rounds
-examine; it never changes a choice.  With it off, the list keeps every
-edge and each round rescans all 2m arcs.
+kernel-seeded (``koag_seeded``).  Each mode is defined by one FIFO reap
+per cluster in founding order (``tests/oracles.py`` keeps that reap, in
+plain Python, as the oracle); ``array_stage`` computes its forest in
+whole-array steps: beam components by hooking and pointer jumping
+(``fleet.beam_components``), the founders as a fixpoint of min-label
+passes over the subjection DAG (under ``koag_seeded`` the kernels
+found, so one label pass sequence gives every kernel's claim), the
+picks by a BFS over all clusters at once; koag's beam loop then runs
+only over the beams the kernels left with a free end.  Hooking and
+pointer jumping end within O(log n) rounds; the founder rounds and
+label passes need not (founding order is a lexicographically first
+greedy choice, and the DAG can be deep), so each has a budget, past
+which one ascending pass (``_claim_upstream``) finishes exactly.  The
+BFS has no budget: a level with a small frontier is expanded in Python
+(``_small_level``), so a deep cluster costs little per level.
+``mode="boruvka"`` skips the node stage (every node its own cluster),
+as a reference line.  The cluster stage then merges clusters
+Boruvka-style over one contracting edge list: the first round lists
+every edge that crosses two clusters once, in stored (smaller endpoint,
+larger endpoint) order, and gives each an int64 rank key whose order is
+(weight, smaller endpoint, larger endpoint), so nothing is sorted.  Each
+round every live cluster hooks onto its crossing edge with the least
+key, the hooks are flattened into fresh cluster ids, and the keys of
+edges now inside a cluster are dropped for good.  Dropping them (the
+melioration) only shrinks what later rounds examine; it never changes a
+choice.  With it off, the list keeps every edge and each round rescans
+all 2m arcs.
 
 Picked edges stay arrays until the result is built.  Every node-stage
 pick has the form "node z joins through p with weight mvc[z]", so the
@@ -44,14 +47,13 @@ when each round runs.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import InconsistentModel, NoProgress
-from .fleet import FleetModel, _jump, beam_components, build_fleet, half_beams
+from .fleet import FleetModel, _indptr, _jump, beam_components, build_fleet, half_beams
 from .graph import Graph, Weight, decimal_places, format_weight
 
 MODES = ("oag_then_merge", "ooag", "koag_seeded")
@@ -116,10 +118,6 @@ class Forest:
     # -- cluster ids -----------------------------------------------------
 
     @property
-    def cluster_list(self) -> list[int]:
-        return self.cluster_of.tolist()
-
-    @property
     def cluster_count(self) -> int:
         return self.counter - self.base
 
@@ -161,13 +159,12 @@ class Forest:
 # ---------------------------------------------------------------------------
 
 
-# Budgets of the three array-stage loops that can run long (module
-# docstring); past any of them the stage hands over to the sequential
-# reap, which is exact on all inputs.
+# Budgets of the two array-stage loops that need not settle quickly
+# (module docstring); past either, ``_claim_upstream`` finishes exactly.
+# A BFS level with fewer than SMALL_FRONTIER nodes is expanded in Python.
 MAX_FOUNDER_ROUNDS = 8
 MAX_LABEL_PASSES = 32
-MIN_LEVELS = 1024
-UNITS_PER_LEVEL = 1024  # nodes plus forward arcs per allowed BFS level
+SMALL_FRONTIER = 16
 
 
 def _check_model(g: Graph, f: FleetModel) -> None:
@@ -175,90 +172,44 @@ def _check_model(g: Graph, f: FleetModel) -> None:
         raise InconsistentModel("fleet model was not built from this graph")
 
 
-def sequential_stage(g: Graph, f: FleetModel, mode: str, kernels=()) -> Forest:
-    """The node stage of ``mode`` as one FIFO reap per cluster, in
-    founding order.  Each of ``kernels`` (whole beam components) founds a
-    cluster first: a BFS along its beams from its smallest member, then
-    a reap of its subjection chains without beam crossing.  Then, from
-    node 0 up: under ``ooag`` every unclaimed non-isolated node climbs
-    its target chain to its flotilla top and founds a cluster on that
-    beam; in the other modes ``_beam_loop`` runs over every beam.  These
-    reaps cross beams peer-to-peer.  The nodes left unclaimed, exactly
-    the isolated ones, become singleton clusters last.  ``array_stage``
-    reproduces this forest for all three modes and falls back to it."""
-    _check_model(g, f)
-    t = f.chase_tables()
-    fwd_ptr, fwd = (a.tolist() for a in _forward_arcs(f))
-    cl = [-1] * g.n
-    parent = [-1] * g.n
-    touches = 0
-    for k, kernel in enumerate(kernels):
-        cl[kernel[0]] = k
-        _reap(kernel[:1], t["beam_ptr"], t["beam_flat"], cl, parent)
-        touches += _reap(kernel, t["rev_ptr"], t["rev_flat"], cl, parent)
-    k = len(kernels)
-
-    if mode == "ooag":
-        target, mvc, iso = t["target"], t["mvc"], t["isolated"]
-        for v in range(g.n):
-            if cl[v] >= 0 or iso[v]:
-                continue
-            x, y = v, target[v]
-            touches += 1
-            while mvc[y] != mvc[x]:  # climb until the edge to the target is a beam
-                x, y = y, target[y]
-                touches += 1
-            cl[x] = cl[y] = k
-            parent[x] = y
-            touches += _reap((x, y), fwd_ptr, fwd, cl, parent)
-            k += 1
-    else:
-        a, b = half_beams(f)
-        k, more = _beam_loop(zip(a.tolist(), b.tolist()), fwd_ptr, fwd, cl, parent, k)
-        touches += more
-    return _forest(g, f, np.array(cl, dtype=np.int64), np.array(parent, dtype=np.int64), k, touches)
-
-
-def _reap(seeds, ptr: list, flat: list, cl: list, parent: list) -> int:
-    """Claim for the seeds' cluster every unclaimed node reachable from
-    them along the arcs ``flat[ptr[y]:ptr[y + 1]]``, first in, first
-    out.  Already-claimed nodes are skipped, which is the cycle guard.
-    Returns the number of arcs touched."""
-    cid = cl[seeds[0]]
-    queue = deque(seeds)
-    touches = 0
-    while queue:
-        y = queue.popleft()
-        arcs = flat[ptr[y] : ptr[y + 1]]
-        touches += len(arcs)
-        for r in arcs:
-            if cl[r] < 0:
-                cl[r] = cid
-                parent[r] = y
-                queue.append(r)
-    return touches
-
-
-def _beam_loop(beams, ptr: list, flat: list, cl: list, parent: list, k: int) -> tuple[int, int]:
-    """The beam loop of ``oag_then_merge`` and ``koag_seeded``.  For each
-    beam (a, b), a < b, in order: a beam with both ends free founds
-    cluster k and reaps from both; a beam with one claimed end joins the
-    free end to that end's cluster and reaps from it.  The reaps follow
-    ``ptr``/``flat``: reverse-subjection children, then beam partners.
-    Returns the next cluster id and the arcs touched."""
-    touches = 0
+def _beam_loop(beams, ptr: list, flat: list, cl: list, parent: list, k: int) -> tuple[int, list, list]:
+    """The beam loop of ``koag_seeded``.  For each beam (a, b), a < b, in
+    order: a beam with both ends free founds cluster k (b the child of a)
+    and claims from both; a beam with one claimed end joins the free end
+    to that end's cluster, as its child, and claims from it.  A claim
+    takes every free node reachable from its seeds along ``ptr``/``flat``:
+    reverse-subjection children, then beam partners.  Returns the next
+    cluster id, each node's claim number (-1: none) and the seeds, claim
+    by claim, from which ``_reap_parents`` gives the other parents."""
+    claim = [-1] * len(cl)
+    seeds: list[int] = []
+    i = 0
     for a, b in beams:
         if cl[a] < 0 and cl[b] < 0:
             cl[a] = cl[b] = k
             parent[b] = a
-            touches += _reap((a, b), ptr, flat, cl, parent)
+            stack = [a, b]
             k += 1
         elif cl[a] < 0 or cl[b] < 0:
             claimed, free = (a, b) if cl[a] >= 0 else (b, a)
             cl[free] = cl[claimed]
             parent[free] = claimed
-            touches += _reap((free,), ptr, flat, cl, parent)
-    return k, touches
+            stack = [free]
+        else:
+            continue
+        seeds += stack
+        cid = cl[stack[0]]
+        for y in stack:
+            claim[y] = i
+        while stack:
+            y = stack.pop()
+            for r in flat[ptr[y] : ptr[y + 1]]:
+                if cl[r] < 0:
+                    cl[r] = cid
+                    claim[r] = i
+                    stack.append(r)
+        i += 1
+    return k, claim, seeds
 
 
 def _forest(g: Graph, f: FleetModel, cl: np.ndarray, parent: np.ndarray, k: int, touches: int) -> Forest:
@@ -282,59 +233,105 @@ def _forward_arcs(f: FleetModel) -> tuple[np.ndarray, np.ndarray]:
     return ptr, fwd
 
 
-def _min_labels(c: np.ndarray, src: np.ndarray, dst: np.ndarray) -> Optional[np.ndarray]:
-    """The least c over each node and everything downstream of it along
-    the acyclic arcs src -> dst, by synchronous passes; None when that
+def _settle(m: np.ndarray, src: np.ndarray, dst: np.ndarray) -> bool:
+    """Lower each m to the least m downstream of it along the acyclic
+    arcs src -> dst, in place, by synchronous passes; False when that
     takes more than MAX_LABEL_PASSES passes."""
-    m = c.copy()
     for _ in range(MAX_LABEL_PASSES):
         val = m[dst]
         lower = val < m[src]
         if not lower.any():
-            return m
+            return True
         np.minimum.at(m, src[lower], val[lower])
-    return None
+    return False
+
+
+def _claim_upstream(
+    n: int, src: np.ndarray, dst: np.ndarray, starts: np.ndarray, gates: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exact finisher of the label passes and founder rounds, one
+    pass in Python over the upstream CSR of the arcs src -> dst.  In
+    order, each i whose node ``gates[i]`` is still unset gives
+    ``values[i]`` to ``starts[i]`` and every unset node upstream of it;
+    a search stops at set nodes.  The set nodes stay closed upstream, so
+    each node gets the value of the first start it lies upstream of.
+    Returns the labels (n where unset) and which i claimed."""
+    up_ptr = _indptr(dst, n).tolist()
+    up = src[np.argsort(dst, kind="stable")].tolist()
+    m = [n] * n
+    took = []
+    for s, gate, val in zip(starts.tolist(), gates.tolist(), values.tolist()):
+        took.append(m[gate] == n)
+        if not took[-1]:
+            continue
+        m[s] = val
+        stack = [s]
+        while stack:
+            y = stack.pop()
+            for x in up[up_ptr[y] : up_ptr[y + 1]]:
+                if m[x] == n:
+                    m[x] = val
+                    stack.append(x)
+    return np.array(m, dtype=np.int64), np.array(took, dtype=bool)
 
 
 def _founders(
     n: int, nominators: np.ndarray, nominee: np.ndarray, home: np.ndarray, down: tuple
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The founding nominators, ascending, and m: for each component the
     founder of the earliest-founded component downstream of it.  The
     fixpoint of: c(B) is the smallest fresh nominator of B; m(u) is the
     least c downstream of u; v (whose component is ``home``) is fresh iff
-    m(v) >= v.  None when a budget runs out."""
+    m(v) >= v.  Past a budget, nominators in ascending order found while
+    their home is unclaimed, each claiming upstream of its nominee."""
     fresh = np.ones(nominators.size, dtype=bool)
     for _ in range(MAX_FOUNDER_ROUNDS):
-        c = np.full(n, n)
-        np.minimum.at(c, nominee[fresh], nominators[fresh])
-        m = _min_labels(c, *down)
-        if m is None:
-            return None
+        m = np.full(n, n)
+        np.minimum.at(m, nominee[fresh], nominators[fresh])
+        if not _settle(m, *down):
+            break
         now = m[home] >= nominators
         if np.array_equal(now, fresh):
             return nominators[fresh], m
         fresh = now
-    return None
+    m, took = _claim_upstream(n, *down, nominee, home, nominators)
+    return nominators[took], m
+
+
+def _small_level(
+    frontier, ptr: np.ndarray, fwd: np.ndarray, cl: np.ndarray, seen: np.ndarray, parent: np.ndarray
+) -> list:
+    """One level of ``_reap_parents`` node by node, in frontier order:
+    the same next level as the numpy step, cheaper on a few nodes."""
+    nxt = []
+    for y in frontier:
+        for x in fwd[ptr[y] : ptr[y + 1]].tolist():
+            if not seen[x] and cl[x] == cl[y]:
+                seen[x] = True
+                parent[x] = y
+                nxt.append(x)
+    return nxt
 
 
 def _reap_parents(
     ptr: np.ndarray, fwd: np.ndarray, cl: np.ndarray, frontier: np.ndarray, parent: np.ndarray
-) -> Optional[np.ndarray]:
+) -> None:
     """Each node's first claimer in its cluster's FIFO reap, written into
     ``parent``, by one level-synchronous BFS over all clusters at once.
     ``frontier`` lists the seeds, cluster by cluster in reap order.  A
     node's forward arcs are ``fwd[ptr[y]:ptr[y + 1]]``; only nodes of
     the same cluster are claimed, and the first occurrence of a node in
-    a level claims it.  None past the level budget."""
+    a level claims it."""
     n = cl.size
     deg = np.diff(ptr)
     seen = np.zeros(n, dtype=bool)
     seen[frontier] = True
     first = np.full(n, fwd.size)
-    for _ in range(max(MIN_LEVELS, (n + fwd.size) // UNITS_PER_LEVEL)):
-        if not frontier.size:
-            return parent
+    while len(frontier):
+        if len(frontier) < SMALL_FRONTIER:
+            frontier = _small_level(frontier, ptr, fwd, cl, seen, parent)
+            continue
+        frontier = np.asarray(frontier)
         d = deg[frontier]
         src = np.repeat(frontier, d)
         dst = fwd[np.repeat(ptr[frontier] - (np.cumsum(d) - d), d) + np.arange(src.size)]
@@ -347,16 +344,12 @@ def _reap_parents(
         frontier = dst[won]
         parent[frontier] = src[won]
         seen[frontier] = True
-    return None
 
 
-def array_stage(
-    g: Graph, f: FleetModel, mode: str, kernel_of: Optional[np.ndarray] = None
-) -> Optional[Forest]:
-    """The forest of ``sequential_stage(g, f, mode)`` in whole-array
-    steps, or None when a step would run past its budget.  Under
-    ``koag_seeded``, ``kernel_of`` numbers the kernels' members (see
-    ``_koag_stage``).
+def array_stage(g: Graph, f: FleetModel, mode: str, kernel_of: Optional[np.ndarray] = None) -> Forest:
+    """The node stage of ``mode``, one FIFO reap per cluster in founding
+    order, in whole-array steps.  Under ``koag_seeded``, ``kernel_of``
+    numbers the kernels' members (see ``_koag_stage``).
 
     Beams join equal-MVC nodes; contracted to their beam components,
     the strict subjection arcs r -> l form a DAG along which MVC falls.
@@ -389,10 +382,7 @@ def array_stage(
     else:
         nominators = np.flatnonzero(np.diff(f.beam_indptr))
         nominee = comp[nominators]
-    found = _founders(n, nominators, nominee, comp[nominators], down)
-    if found is None:
-        return None
-    founders, m = found
+    founders, m = _founders(n, nominators, nominee, comp[nominators], down)
 
     k = founders.size
     order = np.empty(n, dtype=np.int64)
@@ -411,22 +401,24 @@ def array_stage(
         a = founders
         b = f.beam_leaves[f.beam_indptr[a]]
         parent[b] = a
-    if _reap_parents(*_forward_arcs(f), cl, np.stack((a, b), axis=1).ravel(), parent) is None:
-        return None
+    _reap_parents(*_forward_arcs(f), cl, np.stack((a, b), axis=1).ravel(), parent)
     return _forest(g, f, cl, parent, k, touches)
 
 
-def _koag_stage(g: Graph, f: FleetModel, kernel_of: np.ndarray) -> Optional[Forest]:
-    """``sequential_stage(g, f, "koag_seeded", kernels)`` in whole-array
-    steps, where ``kernel_of[v]`` is the index of v's kernel (kernels
-    numbered by their smallest member) or -1; None past a budget.
+def _koag_stage(g: Graph, f: FleetModel, kernel_of: np.ndarray) -> Forest:
+    """The ``koag_seeded`` node stage in whole-array steps, where
+    ``kernel_of[v]`` is the index of v's kernel (kernels numbered by
+    their smallest member) or -1.  Each kernel founds a cluster first: a
+    BFS along its beams from its smallest member, then a reap of its
+    subjection chains without beam crossing; ``_beam_loop`` follows.
 
     No kernel member subjects strictly to anything, so kernels are sinks
     of the subjection DAG and no reap claims a member of another
     cluster: kernel i claims the nodes upstream of it that no earlier
     kernel is downstream of.  So each node's cluster is the least kernel
-    index downstream of it, by one ``_min_labels`` call.  The parents
-    come from a beam BFS from each kernel's smallest member, then a
+    index downstream of it, by label passes (past their budget, by
+    ``_claim_upstream`` over the kernels in order).  The parents come
+    from a beam BFS from each kernel's smallest member, then a
     reverse-subjection BFS from all members.  A claimed node never
     becomes free again, so the beam loop that follows only needs the
     beams with a free end, and it reads only the free nodes' arcs.
@@ -436,18 +428,16 @@ def _koag_stage(g: Graph, f: FleetModel, kernel_of: np.ndarray) -> Optional[Fore
     k = int(kernel_of.max(initial=-1)) + 1
     roots = np.full(k, n)
     np.minimum.at(roots, kernel_of[members], members)
-    c = np.full(n, n)
-    c[members] = kernel_of[members]
-    m = _min_labels(c, f.rev_children, np.repeat(np.arange(n), np.diff(f.rev_indptr)))
-    if m is None:
-        return None
+    down = (f.rev_children, np.repeat(np.arange(n), np.diff(f.rev_indptr)))
+    m = np.full(n, n)
+    m[members] = kernel_of[members]
+    if not _settle(m, *down):
+        seeds = members[np.argsort(kernel_of[members], kind="stable")]
+        m = _claim_upstream(n, *down, seeds, seeds, kernel_of[seeds])[0]
     cl = np.where(m < n, m, -1)
     parent = np.full(n, -1)
-    if (
-        _reap_parents(f.beam_indptr, f.beam_leaves, cl, roots, parent) is None
-        or _reap_parents(f.rev_indptr, f.rev_children, cl, members, parent) is None
-    ):
-        return None
+    _reap_parents(f.beam_indptr, f.beam_leaves, cl, roots, parent)
+    _reap_parents(f.rev_indptr, f.rev_children, cl, members, parent)
     claimed = cl >= 0
     touches = int(np.diff(f.rev_indptr)[claimed].sum())
 
@@ -466,32 +456,29 @@ def _koag_stage(g: Graph, f: FleetModel, kernel_of: np.ndarray) -> Optional[Fore
         loc = np.cumsum(near) - 1
         ptr = np.zeros(local.size + 1, dtype=np.int64)
         ptr[loc[free] + 1] = deg[free]
+        ptr, fwd = np.cumsum(ptr), loc[fwd]
         lcl, lparent = cl[local].tolist(), [-1] * local.size
         beams = zip(loc[a[loose]].tolist(), loc[b[loose]].tolist())
-        k, more = _beam_loop(beams, np.cumsum(ptr).tolist(), loc[fwd].tolist(), lcl, lparent, k)
-        touches += more
+        k, claim, seeds = _beam_loop(beams, ptr.tolist(), fwd.tolist(), lcl, lparent, k)
+        claim, lparent = np.array(claim), np.array(lparent, dtype=np.int64)
+        _reap_parents(ptr, fwd, claim, np.array(seeds, dtype=np.int64), lparent)
+        touches += int(np.diff(ptr)[claim >= 0].sum())
         cl[local] = lcl
-        lparent = np.array(lparent, dtype=np.int64)
         joined = lparent >= 0
         parent[local[joined]] = local[lparent[joined]]
     return _forest(g, f, cl, parent, k, touches)
-
-
-def _stage(g: Graph, f: FleetModel, mode: str) -> Forest:
-    forest = array_stage(g, f, mode)
-    return sequential_stage(g, f, mode) if forest is None else forest
 
 
 def node_stage(g: Graph, f: FleetModel) -> Forest:
     """Beam-seeded reaping: every still-unclaimed beam pair founds a
     cluster, which then absorbs its subjection chains and crosses beams
     peer-to-peer.  Isolated nodes end up as singleton clusters."""
-    return _stage(g, f, "oag_then_merge")
+    return array_stage(g, f, "oag_then_merge")
 
 
 def inheritance_stage(g: Graph, f: FleetModel) -> Forest:
     """Node stage driven by the inheritance chase from every unclaimed node."""
-    return _stage(g, f, "ooag")
+    return array_stage(g, f, "ooag")
 
 
 # ---------------------------------------------------------------------------

@@ -21,30 +21,14 @@ kernel detection start from, and the flotillas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import IdOutOfRange, IsolatedNode
-from .graph import Graph, Weight
+from .errors import IsolatedNode
+from .graph import Graph
 
 _NO_NODE = -1
-
-
-@dataclass(frozen=True)
-class MvcEntry:
-    node: int
-    mvc: Optional[Weight]
-    target: Optional[int]
-    is_isolated: bool
-
-
-class Classification(NamedTuple):
-    """A node's subjection-relevant leaves: boats, beam partners, towboats."""
-
-    J: tuple[int, ...]
-    P: tuple[int, ...]
-    S: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -109,7 +93,6 @@ class FleetModel:
         self.isolated = isolated
         # Arc-touch audit: one pass for MVCs, one for beams/classification.
         self.arc_touches = 2 * g.arc_count
-        self._beams = None
         self._tables = None
 
     # -- basic accessors -------------------------------------------------
@@ -118,110 +101,15 @@ class FleetModel:
     def n(self) -> int:
         return self.graph.n
 
-    def is_isolated(self, r: int) -> bool:
-        self.graph._check_id(r)
-        return bool(self.isolated[r])
-
-    def mvc_of(self, r: int) -> Optional[Weight]:
-        self.graph._check_id(r)
-        if self.isolated[r]:
-            return None
-        return self.graph.unscale(int(self.mvc_scaled[r]))
-
-    def target_of(self, r: int) -> Optional[int]:
-        self.graph._check_id(r)
-        t = int(self.target[r])
-        return None if t == _NO_NODE else t
-
-    def entry(self, r: int) -> MvcEntry:
-        iso = self.is_isolated(r)
-        return MvcEntry(r, self.mvc_of(r), self.target_of(r), iso)
-
-    def beam_neighbors(self, r: int) -> list[int]:
-        self.graph._check_id(r)
-        lo, hi = int(self.beam_indptr[r]), int(self.beam_indptr[r + 1])
-        return self.beam_leaves[lo:hi].tolist()
-
     def in_beam(self, r: int) -> bool:
         self.graph._check_id(r)
         return self.beam_indptr[r + 1] > self.beam_indptr[r]
 
-    def is_beam(self, u: int, v: int) -> bool:
-        w = self.graph.weight_between(u, v)
-        if w is None or self.isolated[u] or self.isolated[v]:
-            return False
-        return w == self.mvc_scaled[u] == self.mvc_scaled[v]
-
-    def subjection_sources(self, l: int) -> list[int]:
-        """Roots r with r subjecting to l (the incoming xi arcs).
-
-        Includes beam partners: a beam is mutual subjection."""
-        self.graph._check_id(l)
-        lo, hi = int(self.rev_indptr[l]), int(self.rev_indptr[l + 1])
-        return sorted(self.rev_children[lo:hi].tolist() + self.beam_neighbors(l))
-
-    @property
-    def beams(self) -> frozenset[tuple[int, int]]:
-        """All beam pairs {r, l} as (min, max) tuples."""
-        if self._beams is None:
-            a, b = half_beams(self)
-            self._beams = frozenset(zip(a.tolist(), b.tolist()))
-        return self._beams
-
-    # -- classification and charge ---------------------------------------
-
-    def classify(self, r: int) -> Classification:
-        """J/P/S components of r's leaf set; trivial leaves are omitted."""
-        self.graph._check_id(r)
-        g = self.graph
-        lo, hi = int(g.indptr[r]), int(g.indptr[r + 1])
-        mvc_r = self.mvc_scaled[r]
-        j: list[int] = []
-        p: list[int] = []
-        s: list[int] = []
-        for leaf, w in zip(g.leaves[lo:hi].tolist(), g.weights[lo:hi].tolist()):
-            mvc_l = self.mvc_scaled[leaf]
-            if w == mvc_r and w == mvc_l:
-                p.append(leaf)
-            elif w == mvc_r and mvc_l < mvc_r:
-                s.append(leaf)
-            elif w == mvc_l and mvc_l > mvc_r:
-                j.append(leaf)
-        return Classification(tuple(j), tuple(p), tuple(s))
-
-    def charge(self, r: int, l: int) -> Optional[int]:
-        """Score the (r, l) relation: 1 boat, 2 towboat, 3 beam, None trivial."""
-        self.graph._check_id(r)
-        self.graph._check_id(l)
-        w = self.graph.weight_between(r, l)
-        if w is None:
-            return None
-        mvc_r = self.mvc_scaled[r]
-        mvc_l = self.mvc_scaled[l]
-        if w == mvc_r and w == mvc_l:
-            return 3
-        if w == mvc_r and mvc_r > mvc_l:
-            return 1
-        if w == mvc_l and mvc_l > mvc_r:
-            return 2
-        return None
-
-    def dump(self, stream) -> None:
-        """Debug dump: one line per node 'id mvc target J/P/S counts'."""
-        for r in range(self.n):
-            if self.isolated[r]:
-                stream.write(f"{r} - - 0/0/0\n")
-                continue
-            j, p, s = self.classify(r)
-            stream.write(
-                f"{r} {self.mvc_of(r)} {self.target_of(r)} "
-                f"{len(j)}/{len(p)}/{len(s)}\n"
-            )
-
-    # -- chase tables for the engine ---------------------------------------
+    # -- plain-list tables ---------------------------------------------------
 
     def chase_tables(self) -> dict:
-        """Plain-list adjacency tables used by the reaping loops (cached)."""
+        """Plain-list copies of the model's arrays, for loops in plain
+        Python (cached)."""
         if self._tables is None:
             self._tables = {
                 "target": self.target.tolist(),
@@ -245,11 +133,6 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
 def build_fleet(g: Graph) -> FleetModel:
     """Compute MVCs, subjection arcs, beams and classifications for g."""
     return FleetModel(g)
-
-
-def compute_mvc(g: Graph) -> list[MvcEntry]:
-    f = build_fleet(g)
-    return [f.entry(r) for r in range(g.n)]
 
 
 def trace_chain(f: FleetModel, start: int) -> list[int]:

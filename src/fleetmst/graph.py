@@ -14,7 +14,7 @@ import math
 import numbers
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -30,14 +30,6 @@ from .errors import (
 
 Weight = Union[int, Fraction]
 WeightLike = Union[int, str, Fraction, Decimal]
-
-
-class Awt(NamedTuple):
-    """One arc of a star subgraph: root, leaf and the shared edge weight."""
-
-    root: int
-    leaf: int
-    weight: Weight
 
 
 def _as_fraction(w: WeightLike) -> Fraction:
@@ -264,16 +256,6 @@ def build_graph(
     vs = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
     ws, scale = scale_weights([e[2] for e in edges])
     return graph_from_arrays(n, us, vs, ws, scale)
-
-
-def united_subgraph(g: Graph, r: int) -> list[Awt]:
-    """All arcs rooted at r, ascending by leaf id (empty for isolated r)."""
-    g._check_id(r)
-    lo, hi = int(g.indptr[r]), int(g.indptr[r + 1])
-    return [
-        Awt(r, int(leaf), g.unscale(int(w)))
-        for leaf, w in zip(g.leaves[lo:hi], g.weights[lo:hi])
-    ]
 
 
 def total_weight(g: Graph, edges: Iterable[tuple[int, int]]) -> Weight:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import Forest, array_stage, sequential_stage
+from .engine import Forest, array_stage
 from .fleet import FleetModel, beam_components
 from .graph import Graph
 
@@ -75,6 +75,5 @@ def koag_seed(g: Graph, f: FleetModel, report: KernelReport) -> Forest:
     not reachable that way (components whose beams were all abandoned,
     or beams shielded behind their own mutual targets) fall back to
     plain beam seeding so coverage is preserved.  Computed by
-    ``array_stage``; past one of its budgets, by ``sequential_stage``."""
-    forest = array_stage(g, f, "koag_seeded", report.kernel_of)
-    return sequential_stage(g, f, "koag_seeded", report.kernels) if forest is None else forest
+    ``array_stage``, whose loops finish exactly on every input."""
+    return array_stage(g, f, "koag_seeded", report.kernel_of)

@@ -125,7 +125,7 @@ def test_criterion_3_chain_convergence(corpus):
 
 
 def _clusters_are_trees(g, forest) -> bool:
-    cl = forest.cluster_list
+    cl = forest.cluster_of.tolist()
     ds = baselines.DisjointSet(g.n)
     per_cluster = Counter()
     for u, v, _ in forest.picked:

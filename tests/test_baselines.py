@@ -54,10 +54,15 @@ def test_prim_matches_kruskal_on_connected_graphs():
         assert prim(g).total == kruskal(g).total
 
 
-def test_prim_covers_seed_component_only():
-    g = build_graph(4, [(0, 1, 2), (2, 3, 5)])
-    assert prim(g, seed=0).total == 2
-    assert prim(g, seed=2).total == 5
+def test_prim_grows_a_spanning_forest():
+    # Two trees and an isolated node; distinct weights, so the forest is unique.
+    g = build_graph(6, [(0, 1, 2), (2, 3, 5), (3, 4, 1), (2, 4, 3)])
+    ref = kruskal(g)
+    assert ref.total == 6
+    for seed in range(g.n):
+        res = prim(g, seed=seed)
+        assert (res.edges, res.total) == (ref.edges, ref.total), seed
+    assert prim(build_graph(0, [])).edges == []
 
 
 def test_brute_force_tiny_graphs():

@@ -32,6 +32,16 @@ def test_build_and_verify_roundtrip(tmp_path, algo):
     assert main(["verify", str(gpath), str(tpath)]) == 0
 
 
+@pytest.mark.parametrize("text", ["0 0\n", "4 2\n0 1 1\n2 3 1\n"], ids=["empty", "disconnected"])
+def test_prim_builds_a_forest_that_verifies(tmp_path, capsys, text):
+    gpath = tmp_path / "g.txt"
+    tpath = tmp_path / "t.txt"
+    gpath.write_text(text)
+    assert main(["build", str(gpath), "--algo", "prim", "--out", str(tpath)]) == 0
+    assert main(["verify", str(gpath), str(tpath)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "OK"
+
+
 def test_build_stats_file(tmp_path):
     gpath = tmp_path / "g.txt"
     tpath = tmp_path / "t.txt"

@@ -18,7 +18,7 @@ from fleetmst.fleet import build_fleet
 from fleetmst.generators import lattice8, random_gnm
 from fleetmst.graph import build_graph, graph_from_arrays
 from fleetmst.kernels import detect_kernels, koag_seed
-from test_array_stage import bench_lattices
+from oracles import bench_lattices, sequential_stage
 
 TWO_TRIANGLES = build_graph(
     6,
@@ -35,8 +35,8 @@ TWO_TRIANGLES = build_graph(
 
 
 NODE_STAGES = {
-    "sequential ooag": lambda g, f: engine.sequential_stage(g, f, "ooag"),
-    "sequential oag_then_merge": lambda g, f: engine.sequential_stage(g, f, "oag_then_merge"),
+    "sequential ooag": lambda g, f: sequential_stage(g, f, "ooag"),
+    "sequential oag_then_merge": lambda g, f: sequential_stage(g, f, "oag_then_merge"),
     "koag_seed": lambda g, f: koag_seed(g, f, detect_kernels(f)),
     "array ooag": lambda g, f: engine.array_stage(g, f, "ooag"),
     "array oag_then_merge": lambda g, f: engine.array_stage(g, f, "oag_then_merge"),
@@ -50,7 +50,7 @@ def test_node_stage_reaps_both_triangles():
         forest = stage(TWO_TRIANGLES, build_fleet(TWO_TRIANGLES))
         assert forest.cluster_count == 2, name
         assert len(forest.picked) == 4, name
-        cl = forest.cluster_list
+        cl = forest.cluster_of.tolist()
         assert cl[0] == cl[1] == cl[2], name
         assert cl[3] == cl[4] == cl[5], name
         assert cl[0] != cl[3], name
@@ -60,7 +60,7 @@ def test_node_stage_gives_isolated_nodes_the_last_ids():
     g = build_graph(3, [(0, 1, 1)])
     for name, stage in NODE_STAGES.items():
         forest = stage(g, build_fleet(g))
-        assert forest.cluster_list == [0, 0, 1], name
+        assert forest.cluster_of.tolist() == [0, 0, 1], name
         assert forest.parent[2] == -1, name
         assert forest.picked == [(0, 1, 1)], name
 
@@ -129,9 +129,9 @@ def test_merge_round_scans_the_crossing_arcs():
 def test_merge_round_uses_fresh_cluster_ids():
     f = build_fleet(TWO_TRIANGLES)
     forest = node_stage(TWO_TRIANGLES, f)
-    old_ids = set(forest.cluster_list)
+    old_ids = set(forest.cluster_of.tolist())
     merge_round(TWO_TRIANGLES, forest)
-    new_ids = set(forest.cluster_list)
+    new_ids = set(forest.cluster_of.tolist())
     assert new_ids.isdisjoint(old_ids)
     assert forest.cluster_count == 1
     assert forest.rounds == 1

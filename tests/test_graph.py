@@ -13,14 +13,12 @@ from fleetmst.errors import (
     UnknownEdge,
 )
 from fleetmst.graph import (
-    Awt,
     build_graph,
     decimal_places,
     format_weight,
     read_graph,
     scale_weights,
     total_weight,
-    united_subgraph,
     unscale,
     write_graph,
 )
@@ -96,18 +94,6 @@ def test_build_graph_validation():
         build_graph(2, [(0, 2, 1)])
     with pytest.raises(IdOutOfRange):
         build_graph(-1, [])
-
-
-def test_united_subgraph_sorted_by_leaf():
-    g = build_graph(3, TRIANGLE)
-    assert united_subgraph(g, 0) == [Awt(0, 1, 1), Awt(0, 2, 3)]
-    assert united_subgraph(g, 2) == [Awt(2, 0, 3), Awt(2, 1, 2)]
-
-
-def test_united_subgraph_isolated_is_empty():
-    g = build_graph(4, TRIANGLE)
-    assert united_subgraph(g, 3) == []
-    assert g.degree(3) == 0
 
 
 def test_weight_between():

@@ -7,9 +7,9 @@ from fleetmst.baselines import _components, kruskal, verify_spanning_forest
 from fleetmst.engine import run
 from fleetmst.fleet import beam_components, build_fleet, half_beams
 from fleetmst.generators import random_gnm
-from fleetmst.graph import build_graph, graph_from_arrays
+from fleetmst.graph import build_graph
 from fleetmst.kernels import detect_kernels, k_value, koag_seed
-from test_array_stage import bench_lattices, equal_path
+from oracles import bench_lattices, equal_path, random_id_path
 
 TWO_TRIANGLES = build_graph(
     6,
@@ -69,17 +69,13 @@ def test_detection_matches_the_beam_walk(corpus):
             assert rep.sizes.tolist() == [len(kern) for kern in rep.kernels]
 
 
-def shuffled_equal_path(n, seed):
-    """An equal-weight path through all n nodes in a random order: one
-    beam component that hooking needs many rounds to join."""
-    order = np.random.default_rng(seed).permutation(n)
-    return graph_from_arrays(n, order[:-1], order[1:], np.ones(n - 1, dtype=np.int64), 1)
-
-
 def test_beam_components_match_the_oracle(corpus):
     graphs = [(spec.token(), g) for spec, g in corpus[::3]]
     graphs += [("equal_path", equal_path(5000))]
-    graphs += [(f"shuffled_equal_path {n}", shuffled_equal_path(n, seed=n)) for n in (5000, 2**16)]
+    # Equal-weight paths in a random order of ids: one beam component
+    # that hooking needs many rounds to join.
+    for n in (5000, 2**16):
+        graphs += [(f"random_id_equal_path {n}", random_id_path(n, np.ones(n - 1, dtype=np.int64), seed=n))]
     for name, g in graphs:
         f = build_fleet(g)
         assert np.array_equal(beam_components(f), _components(g.n, *half_beams(f))), name
@@ -140,13 +136,13 @@ def test_koag_seed_claims_every_node():
         f = build_fleet(g)
         rep = detect_kernels(f)
         forest = koag_seed(g, f, rep)
-        assert all(c >= 0 for c in forest.cluster_list)
+        assert (forest.cluster_of >= 0).all()
 
 
 # koag_seed's forest on each benchmark lattice: counter, node_arc_touches
 # and the first 16 hex digits of the sha256 of parent and of cluster_of
 # (int64).  test_array_stage.py checks the array koag stage against the
-# sequential reap; this pins the forest itself, whichever stage gives it.
+# sequential reap; this pins the forest itself.
 KOAG_FORESTS = [
     (8198, 19917, "059c2cc81bcf7dce", "ab2416fef7bec9be"),
     (8256, 19954, "38848719a25b56c6", "9d57c93aebf175a9"),
