@@ -3,8 +3,10 @@ cycle-property certificate for a claimed spanning forest.
 
 These never share logic with the staged engine; they only read graphs
 through the graph module, so an engine bug cannot cancel out here.  The
-certificate builds its own Borůvka tree of the claimed forest (King
-1997) with its own hooking and pointer jumping, not the engine's.
+certificate contracts the claimed forest once, into its own Borůvka
+tree (King 1997) with its own hooking and pointer jumping, not the
+engine's; that one contraction gives the cycle and spanning checks
+their components and the minimality check its path maxima.
 """
 
 from __future__ import annotations
@@ -227,25 +229,6 @@ def _claim_columns(edges, n: int, scale: int) -> tuple[np.ndarray, np.ndarray, n
     return np.minimum(u, v), np.maximum(u, v), cw
 
 
-def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Label every node with the smallest id of its component under the
-    edges (a, b): hook each root onto the smallest root it touches, then
-    pointer-jump until every node points at its root."""
-    label = np.arange(n, dtype=a.dtype)
-    while True:
-        la, lb = label[a], label[b]
-        cross = np.flatnonzero(la != lb)
-        if cross.size == 0:
-            return label
-        la, lb = la[cross], lb[cross]
-        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
-        while True:
-            up = label[label]
-            if np.array_equal(up, label):
-                break
-            label = up
-
-
 def _root(n, roots, a, b, w):
     """Parent, parent-edge weight and depth of every node of the forest
     (a, b, w), found breadth first from ``roots`` one level at a time.
@@ -277,17 +260,21 @@ def _root(n, roots, a, b, w):
     return parent, pw, depth
 
 
-def _boruvka_tree(n, a, b, w) -> list[tuple[np.ndarray, np.ndarray]]:
-    """King's Borůvka tree of the forest (a, b, w) with positive weights
-    on the nodes 0..n-1, as one (up, top) pair per round.
+def _boruvka_tree(n, a, b, w) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """King's Borůvka tree of the claimed edges (a, b, w) with positive
+    weights on the nodes 0..n-1, as one (up, top) pair per round, and
+    every node's component id, 0..c-1 for c components.
 
     A round's clusters are numbered 0..k-1 (round 0: the nodes).  Each
-    cluster with a forest edge leaving it hooks across a lightest one:
-    ``top`` is that weight, 0 for a cluster that is a whole component,
-    and ``up`` maps the cluster to its cluster of the next round, -1 if
-    it is a whole component (it takes no further part).  Every live
-    cluster merges, so a component of s nodes is one cluster after at
-    most ceil(log2 s) rounds.  The heaviest edge on the forest path
+    cluster with an edge leaving it hooks across its least one in
+    (weight, position) order: ``top`` is that weight, 0 for a cluster
+    that is a whole component, and ``up`` maps the cluster to its
+    cluster of the next round, -1 if it is a whole component (it takes
+    no further part).  An edge left inside a cluster without being
+    picked closed a cycle and is dropped, so the edges picked number
+    n - c exactly when (a, b) is a forest.  Every live cluster merges,
+    so a component of s nodes is one cluster after at most
+    ceil(log2 s) rounds.  For a forest, the heaviest edge on the path
     between two nodes is the heaviest ``top`` met while climbing from
     both until they share a cluster (King 1997)."""
     rounds = []
@@ -296,26 +283,25 @@ def _boruvka_tree(n, a, b, w) -> list[tuple[np.ndarray, np.ndarray]]:
         top = np.full(k, np.iinfo(w.dtype).max, dtype=w.dtype)
         np.minimum.at(top, a, w)
         np.minimum.at(top, b, w)
-        # Any edge at a cluster's minimum will do: the clusters are
-        # subtrees, so the hooks close no cycle other than both ends of
-        # one edge picking it, where the smaller id stays root.
+        # The order is strict, so the hooks close no cycle other than
+        # both ends of one edge picking it, where the smaller id stays
+        # root.  Live clusters are those the edges touch: the largest
+        # weight is a legal one, so it cannot also mark "no edge".
+        at_a = np.flatnonzero(w == top[a])
+        at_b = np.flatnonzero(w == top[b])
+        pick = np.full(k, a.size)
+        np.minimum.at(pick, np.concatenate((a[at_a], b[at_b])), np.concatenate((at_a, at_b)))
         ids = np.arange(k)
+        live = pick < a.size
+        e = pick[live]
         hook = ids.copy()
-        at = np.flatnonzero(w == top[a])
-        hook[a[at]] = b[at]
-        at = np.flatnonzero(w == top[b])
-        hook[b[at]] = a[at]
+        hook[live] = a[e] + b[e] - ids[live]
         hook = np.where((hook[hook] == ids) & (ids < hook), ids, hook)
         while True:
             jump = hook[hook]
             if np.array_equal(jump, hook):
                 break
             hook = jump
-        # Live clusters are those the edges touch: the largest weight
-        # is a legal one, so it cannot also mark "no edge".
-        live = np.zeros(k, dtype=bool)
-        live[a] = True
-        live[b] = True
         fresh = np.cumsum((hook == ids) & live) - 1
         up = np.where(live, fresh[hook], -1)
         top[~live] = 0
@@ -324,7 +310,16 @@ def _boruvka_tree(n, a, b, w) -> list[tuple[np.ndarray, np.ndarray]]:
         keep = np.flatnonzero(a != b)
         a, b, w = a[keep], b[keep], w[keep]
         k = int(fresh[-1]) + 1
-    return rounds
+    # Top down: the last round's clusters are components 0..k-1, and a
+    # cluster that left with up == -1 takes the next fresh id (its
+    # gather through -1 reads a value it then overwrites).
+    label = np.arange(k)
+    for up, _ in reversed(rounds):
+        done = np.flatnonzero(up < 0)
+        label = label[up]
+        label[done] = np.arange(k, k + done.size)
+        k += done.size
+    return rounds, label
 
 
 def _tree_path_max(rounds, a, b) -> np.ndarray:
@@ -353,10 +348,11 @@ def _certify(g: Graph, edges) -> tuple[Witness | None, np.ndarray]:
     pos = np.searchsorted(keys, claimed)
     if np.any(pos >= keys.size) or np.any(keys[pos] != claimed) or np.any(gw[pos] != cw):
         raise NotASpanningForest("unknown edge")
+    del half, keys, claimed
 
-    label = _components(n, ca, cb)
-    roots = np.flatnonzero(label == np.arange(n))
-    if cw.size != n - roots.size:
+    rounds, label = _boruvka_tree(n, ca, cb, cw)
+    components = int(label.max(initial=-1)) + 1
+    if cw.size != n - components:
         raise NotASpanningForest("cycle")
     if np.any(label[ga] != label[gb]):
         raise NotASpanningForest("not spanning")
@@ -368,12 +364,10 @@ def _certify(g: Graph, edges) -> tuple[Witness | None, np.ndarray]:
     query[pos] = False
     query = np.flatnonzero(query)
     qa, qb, qw = ga[query], gb[query], gw[query]
-    # Free the per-edge arrays before the Borůvka tree is built.
-    del half, ga, gb, gw, keys, claimed, pos, label, query
+    del ga, gb, gw, pos, query
     if qw.size == 0:
         return None, cw
-    heaviest = _tree_path_max(_boruvka_tree(n, ca, cb, cw), qa, qb)
-    bad = np.flatnonzero(heaviest > qw)
+    bad = np.flatnonzero(_tree_path_max(rounds, qa, qb) > qw)
     if bad.size == 0:
         return None, cw
 
@@ -381,6 +375,7 @@ def _certify(g: Graph, edges) -> tuple[Witness | None, np.ndarray]:
     # the rooted forest.
     i = int(bad[0])
     x, y = int(qa[i]), int(qb[i])
+    roots = np.sort(np.unique(label, return_index=True)[1])  # smallest node of each component
     parent, pw, depth = _root(n, roots, ca, cb, cw)
     heavy = None
     while x != y:

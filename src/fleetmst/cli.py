@@ -75,19 +75,25 @@ def _positive(text: str) -> int:
     return value
 
 
-def _spec_from_args(args) -> generators.GenSpec:
-    family = {"lattice": "lattice8", "gnm": "random_gnm"}.get(args.family, args.family)
-    if family == "lattice8":
-        size = {"p": args.p}
-    elif family == "random_gnm":
-        size = {"n": args.n, "m": args.m}
-    else:
-        size = {"n": args.n}
-    return generators.GenSpec(family=family, size=size, weight_set=args.q, seed=args.seed)
+def _parse_algos(text: str) -> list[str]:
+    """Algorithm names (an argparse type): a comma list from ALL_ALGOS."""
+    algos = [a.strip() for a in text.split(",")]
+    unknown = [a for a in algos if a not in ALL_ALGOS]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown algorithm {unknown[0]!r}; choose from {', '.join(ALL_ALGOS)}")
+    return algos
+
+
+def _spec(family: str, p: int, n: int, m: int, q, seed: int) -> generators.GenSpec:
+    """The generator spec of a CLI family name: a lattice takes side p,
+    gnm n nodes and m edges, the rest n nodes."""
+    family = {"lattice": "lattice8", "gnm": "random_gnm"}.get(family, family)
+    size = {"lattice8": {"p": p}, "random_gnm": {"n": n, "m": m}}.get(family, {"n": n})
+    return generators.GenSpec(family=family, size=size, weight_set=q, seed=seed)
 
 
 def cmd_gen(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec(args.family, args.p, args.n, args.m, args.q, args.seed)
     try:
         g = spec.build()
         write_graph(g, args.out, comments=[spec.token()])
@@ -99,13 +105,11 @@ def cmd_gen(args) -> int:
 
 
 def _run_algo(g, algo: str):
-    if algo in ENGINE_ALGOS:
-        return engine.run(g, mode=algo)
     if algo == "kruskal":
         return baselines.kruskal(g)
     if algo == "prim":
         return baselines.prim(g, seed=0)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    return engine.run(g, mode=algo)
 
 
 def _weight_text(g, w) -> str:
@@ -150,20 +154,25 @@ def cmd_build(args) -> int:
 
 
 def _read_tree(path):
+    """The edges of a tree file: the header line 'n k total rounds', then
+    one 'u v w' line per edge; blank and '#' lines are skipped."""
     edges = []
-    header = None
+    header = True
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if header is None:
-                header = parts
+            if header:
+                if len(parts) != 4:
+                    raise ParseError(line_no, f"expected header 'n k total rounds', got {line!r}")
+                header = False
                 continue
             try:
-                u, v, w = int(parts[0]), int(parts[1]), _as_fraction(parts[2])
-            except (ValueError, IndexError, InvalidWeight):
+                u, v, w = parts
+                u, v, w = int(u), int(v), _as_fraction(w)
+            except (ValueError, InvalidWeight):
                 raise ParseError(line_no, f"expected 'u v w', got {line!r}") from None
             edges.append((u, v, int(w) if w.denominator == 1 else w))
     return edges
@@ -242,25 +251,16 @@ def _bench_row(spec, algo, g, repeats):
 
 
 def cmd_bench(args) -> int:
-    algos = [a.strip() for a in args.algos.split(",")]
-    q = args.q
     rows = []
     failed = 0
     for size in args.grid:
-        if args.family in ("lattice", "lattice8"):
-            spec = generators.GenSpec("lattice8", {"p": size}, q, args.seed)
-        elif args.family in ("gnm", "random_gnm"):
-            spec = generators.GenSpec(
-                "random_gnm", {"n": size, "m": args.m or 2 * size}, q, args.seed
-            )
-        else:
-            spec = generators.GenSpec(args.family, {"n": size}, q, args.seed)
+        spec = _spec(args.family, size, size, args.m or 2 * size, args.q, args.seed)
         try:
             g = spec.build()
         except (GraphError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        for algo in algos:
+        for algo in args.algos:
             try:
                 rows.append(_bench_row(spec, algo, g, args.repeats))
             except Exception as exc:  # keep going, mark the row failed
@@ -321,7 +321,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark grid, CSV output")
     p.add_argument("--family", choices=FAMILIES, default="lattice")
     p.add_argument("--grid", type=_parse_grid, required=True, help="comma-separated sizes (p or n)")
-    p.add_argument("--algos", default="ooag")
+    p.add_argument("--algos", type=_parse_algos, default="ooag", help="comma list of algorithms")
     p.add_argument("--q", type=_parse_q, default="1:10")
     p.add_argument("--m", type=int, default=0, help="edge count for gnm")
     p.add_argument("--repeats", type=_positive, default=1)

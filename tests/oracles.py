@@ -4,6 +4,8 @@
 one FIFO reap per cluster, in founding order, in plain Python.  The
 array stage in ``fleetmst.engine`` must reproduce its forest (parent
 array, cluster ids, counter and arcs touched) in every mode.
+``_components`` is the component labeller that ``fleet.beam_components``
+must agree with.
 """
 
 from collections import deque
@@ -14,6 +16,25 @@ from fleetmst.engine import Forest, _check_model, _forest, _forward_arcs
 from fleetmst.fleet import FleetModel, half_beams
 from fleetmst.generators import lattice8, random_gnm
 from fleetmst.graph import Graph, graph_from_arrays
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Label every node with the smallest id of its component under the
+    edges (a, b): hook each root onto the smallest root it touches, then
+    pointer-jump until every node points at its root."""
+    label = np.arange(n, dtype=a.dtype)
+    while True:
+        la, lb = label[a], label[b]
+        cross = np.flatnonzero(la != lb)
+        if cross.size == 0:
+            return label
+        la, lb = la[cross], lb[cross]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 def sequential_stage(g: Graph, f: FleetModel, mode: str, kernels=()) -> Forest:

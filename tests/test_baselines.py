@@ -109,6 +109,16 @@ def test_verify_reports_cycle():
     g = build_graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
     claimed = [(0, 1, 1), (1, 2, 2), (0, 2, 3)]
     assert verify_spanning_forest(g, claimed) == ["cycle"]
+    # Every weight tied around a cycle longer than two: the Borůvka
+    # tree's hooks must still end, and the cycle shows in the count.
+    square = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)]
+    assert verify_spanning_forest(build_graph(4, square), square) == ["cycle"]
+    # A cycle is reported before an uncovered node.
+    g = build_graph(5, square + [(3, 4, 1)])
+    assert verify_spanning_forest(g, square) == ["cycle"]
+    with pytest.raises(NotASpanningForest) as exc:
+        minimality_witness(g, square)
+    assert exc.value.problem == "cycle"
 
 
 def test_verify_reports_not_spanning():
@@ -329,8 +339,17 @@ def test_boruvka_tree_path_max_matches_a_path_walk():
         n = rng.randint(1, 40)
         edges = _random_forest(rng, n, (1, 2, 3) if trial % 2 else (1, 2, INT64_MAX))
         a, b, w = (np.array([e[i] for e in edges], dtype=np.int64) for i in range(3))
-        rounds = baselines._boruvka_tree(n, a, b, w)
+        rounds, label = baselines._boruvka_tree(n, a, b, w)
         assert len(rounds) <= math.ceil(math.log2(n)) + 1
+        ds = DisjointSet(n)
+        for x, y, _ in edges:
+            ds.union(x, y)
+        # The same partition: label and root determine each other, and
+        # the labels are 0..c-1.
+        roots = [ds.find(v) for v in range(n)]
+        both = set(zip(label.tolist(), roots))
+        assert len(both) == len(set(roots)) == len(set(label.tolist())) == label.max() + 1, (trial, edges)
+        assert label.min() == 0
         walk = _path_max_by_walk(n, edges)
         pairs = [(x, y) for (x, y) in walk if x != y]
         if not pairs:
@@ -354,7 +373,7 @@ def test_boruvka_tree_rounds_are_logarithmic_on_a_long_path():
     n = 4096
     ids = np.random.default_rng(3).permutation(n)
     for w in (np.ones(n - 1, dtype=np.int64), np.arange(1, n, dtype=np.int64)):
-        rounds = baselines._boruvka_tree(n, ids[:-1], ids[1:], w)
+        rounds = baselines._boruvka_tree(n, ids[:-1], ids[1:], w)[0]
         assert len(rounds) <= math.ceil(math.log2(n)) + 1
         got = baselines._tree_path_max(rounds, ids[:1], ids[-1:])
         assert got.tolist() == [w.max()]

@@ -101,7 +101,7 @@ def test_verify_computes_the_certificate_once(tmp_path, capsys, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("line", ["0 1 1/0", "0 1", "0 x 1", "0 1 abc"])
+@pytest.mark.parametrize("line", ["0 1 1/0", "0 1", "0 x 1", "0 1 abc", "0 1 1 2"])
 def test_malformed_tree_line_is_an_input_error(tmp_path, capsys, line):
     gpath = tmp_path / "g.txt"
     tpath = tmp_path / "t.txt"
@@ -109,6 +109,17 @@ def test_malformed_tree_line_is_an_input_error(tmp_path, capsys, line):
     tpath.write_text(f"2 0 1 0\n{line}\n")
     assert main(["verify", str(gpath), str(tpath)]) == 2
     assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
+def test_tree_file_without_header_is_an_input_error(tmp_path, capsys):
+    # Read with a header slot, the first edge would vanish and the tree
+    # would fail as 'not spanning'.
+    gpath = tmp_path / "g.txt"
+    tpath = tmp_path / "t.txt"
+    gpath.write_text("3 3\n0 1 1\n1 2 2\n0 2 3\n")
+    tpath.write_text("0 1 1\n1 2 2\n")
+    assert main(["verify", str(gpath), str(tpath)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: ")
 
 
 def test_missing_input_is_an_input_error(tmp_path, capsys):
@@ -260,6 +271,8 @@ def test_bench_wall_time_covers_the_phases(tmp_path):
         ["bench", "--grid", "5,x", "--csv", "{tmp}/b.csv"],
         ["bench", "--grid", "3", "--repeats", "0", "--csv", "{tmp}/b.csv"],
         ["bench", "--family", "hypercube", "--grid", "3", "--csv", "{tmp}/b.csv"],
+        ["bench", "--grid", "3", "--algos", "foo", "--csv", "{tmp}/b.csv"],
+        ["bench", "--grid", "3", "--algos", "", "--csv", "{tmp}/b.csv"],
         # Sizes numpy refuses at once (728 TiB, beyond the address space).
         ["gen", "path", "--n", "99999999999999", "--out", "{tmp}/g.txt"],
         ["bench", "--family", "path", "--grid", "99999999999999", "--csv", "{tmp}/b.csv"],

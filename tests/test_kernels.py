@@ -3,13 +3,13 @@ from collections import deque
 
 import numpy as np
 
-from fleetmst.baselines import _components, kruskal, verify_spanning_forest
+from fleetmst.baselines import kruskal, verify_spanning_forest
 from fleetmst.engine import run
 from fleetmst.fleet import beam_components, build_fleet, half_beams
 from fleetmst.generators import random_gnm
 from fleetmst.graph import build_graph
 from fleetmst.kernels import detect_kernels, k_value, koag_seed
-from oracles import bench_lattices, equal_path, random_id_path
+from oracles import _components, bench_lattices, equal_path, random_id_path
 
 TWO_TRIANGLES = build_graph(
     6,
