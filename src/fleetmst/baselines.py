@@ -342,7 +342,8 @@ def _certify(g: Graph, edges) -> tuple[Witness | None, np.ndarray]:
     src = g.arc_sources()
     half = np.flatnonzero(src < g.leaves)
     ga, gb, gw = src[half], g.leaves[half], g.weights[half]
-    # Arcs are sorted by (source, leaf), so the keys of the a < b half are too.
+    # Arcs are sorted by (source, leaf), so the keys of the a < b half are too;
+    # they fit in int64 because graph_from_arrays keeps n <= MAX_NODES.
     keys = ga * n + gb
     claimed = ca * n + cb
     pos = np.searchsorted(keys, claimed)

@@ -153,21 +153,23 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _read_tree(path):
+def _read_tree(path, n=None):
     """The edges of a tree file: the header line 'n k total rounds', then
-    one 'u v w' line per edge; blank and '#' lines are skipped."""
+    one 'u v w' line per edge; blank and '#' lines are skipped.  A file
+    without the header is a ParseError, and so is a header whose n is
+    not the given n."""
     edges = []
-    header = True
+    header_n = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if header:
-                if len(parts) != 4:
-                    raise ParseError(line_no, f"expected header 'n k total rounds', got {line!r}")
-                header = False
+            if header_n is None:
+                header_n = _tree_header_n(line_no, line)
+                if n is not None and header_n != n:
+                    raise ParseError(line_no, f"tree header has n={header_n}, the graph has n={n}")
                 continue
             try:
                 u, v, w = parts
@@ -175,13 +177,29 @@ def _read_tree(path):
             except (ValueError, InvalidWeight):
                 raise ParseError(line_no, f"expected 'u v w', got {line!r}") from None
             edges.append((u, v, int(w) if w.denominator == 1 else w))
+    if header_n is None:
+        raise ParseError(1, "no header 'n k total rounds' in the tree file")
     return edges
+
+
+def _tree_header_n(line_no: int, line: str) -> int:
+    """n of a tree header 'n k total rounds', whose n, k and rounds are
+    non-negative integers and whose total is an exact weight."""
+    try:
+        n, k, total, rounds = line.split()
+        n, k, rounds = int(n), int(k), int(rounds)
+        _as_fraction(total)
+        if min(n, k, rounds) >= 0:
+            return n
+    except (ValueError, InvalidWeight):
+        pass
+    raise ParseError(line_no, f"expected header 'n k total rounds', got {line!r}")
 
 
 def cmd_verify(args) -> int:
     try:
         g = read_graph(args.input)
-        edges = _read_tree(args.tree)
+        edges = _read_tree(args.tree, g.n)
     except (GraphError, OSError, MemoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

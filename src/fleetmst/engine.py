@@ -131,7 +131,7 @@ class Forest:
             [np.stack((np.minimum(z, p), np.maximum(z, p)))] + [e for e, _ in self.merged], axis=1
         )
         w = np.concatenate([self.mvc[z]] + [w for _, w in self.merged])
-        order = np.argsort(ends[0] * self.graph.n + ends[1])
+        order = np.argsort(ends[0] * self.graph.n + ends[1])  # < 2**63: n <= MAX_NODES
         return ends[0, order].tolist(), ends[1, order].tolist(), w[order].tolist()
 
     @property

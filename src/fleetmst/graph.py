@@ -6,6 +6,10 @@ Weights are exact: integers, or fixed-precision decimals held as scaled
 integers (scale is a power of ten shared by the whole graph).  Binary
 floats are rejected because downstream tie detection relies on exact
 weight equality.
+
+Every graph (from the generators, build_graph or read_graph) is built by
+graph_from_arrays with one sort of its 2m int64 arc keys ``u * n + v``;
+for those keys to fit in int64, n is at most MAX_NODES.
 """
 
 from __future__ import annotations
@@ -25,11 +29,16 @@ from .errors import (
     NonPositiveWeight,
     ParseError,
     SelfLoop,
+    TooLarge,
     UnknownEdge,
 )
 
 Weight = Union[int, Fraction]
 WeightLike = Union[int, str, Fraction, Decimal]
+
+# The largest n with n * n < 2**63, so that every arc key u * n + v fits
+# in int64 (the verifier and Forest key edges the same way).
+MAX_NODES = 3_037_000_499
 
 
 def _as_fraction(w: WeightLike) -> Fraction:
@@ -200,7 +209,15 @@ class Graph:
 def graph_from_arrays(
     n: int, u: np.ndarray, v: np.ndarray, w_scaled: np.ndarray, scale: int
 ) -> Graph:
-    """Validating fast path used by generators and build_graph."""
+    """Validating fast path behind the generators, build_graph and
+    read_graph.
+
+    After the id, self-loop and weight checks, n must be at most
+    MAX_NODES.  Each edge gives two arc keys ``u * n + v`` and
+    ``v * n + u``, and one stable argsort of those 2m keys orders the
+    CSR rows.  Equal neighbouring keys are a duplicate edge; the first
+    is the smallest duplicated pair (a, b) with a < b.
+    """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     w_scaled = np.asarray(w_scaled, dtype=np.int64)
@@ -218,27 +235,20 @@ def graph_from_arrays(
             raise NonPositiveWeight(
                 f"edge ({int(u[nonpos[0]])}, {int(v[nonpos[0]])}) has non-positive weight"
             )
-        a = np.minimum(u, v)
-        b = np.maximum(u, v)
-        order = np.lexsort((b, a))
-        aa, bb = a[order], b[order]
-        dup = np.nonzero((aa[1:] == aa[:-1]) & (bb[1:] == bb[:-1]))[0]
-        if dup.size:
-            raise DuplicateEdge(
-                f"edge ({int(aa[dup[0]])}, {int(bb[dup[0]])}) appears more than once"
-            )
-
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    ww = np.concatenate([w_scaled, w_scaled])
-    order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order]
-    ww = ww[order]
-    counts = np.bincount(src, minlength=n).astype(np.int64)
+    if n > MAX_NODES:
+        raise TooLarge(f"{n} nodes exceed the limit of {MAX_NODES}")
+    key = np.concatenate([u * n + v, v * n + u])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    dup = np.flatnonzero(key[1:] == key[:-1])
+    if dup.size:
+        a, b = divmod(int(key[dup[0]]), n)
+        raise DuplicateEdge(f"edge ({a}, {b}) appears more than once")
+    leaves = np.concatenate([v, u])[order]
+    weights = np.concatenate([w_scaled, w_scaled])[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return Graph(n, indptr, dst, ww, scale)
+    np.cumsum(np.bincount(u, minlength=n) + np.bincount(v, minlength=n), out=indptr[1:])
+    return Graph(n, indptr, leaves, weights, scale)
 
 
 def build_graph(
@@ -247,13 +257,19 @@ def build_graph(
     """Build a validated Graph from an (u, v, w) edge list.
 
     Rejects duplicate unordered pairs, self loops, non-positive weights
-    and out-of-range ids.  The result is independent of edge order.
+    and ids that are not integers in [0, n): an id must be a Python or
+    numpy integer, never a bool, float, str or Fraction, so nothing is
+    truncated.  The result is independent of edge order.
     """
     if n < 0:
         raise IdOutOfRange(f"negative node count {n}")
     edges = list(edges)
-    us = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-    vs = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
+    for e in edges:
+        for r in e[:2]:
+            if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 0 <= r < n:
+                raise IdOutOfRange(f"edge ({e[0]!r}, {e[1]!r}) has an id that is not an integer in [0, {n})")
+    us = np.array([e[0] for e in edges], dtype=np.int64)
+    vs = np.array([e[1] for e in edges], dtype=np.int64)
     ws, scale = scale_weights([e[2] for e in edges])
     return graph_from_arrays(n, us, vs, ws, scale)
 

@@ -5,7 +5,8 @@ one FIFO reap per cluster, in founding order, in plain Python.  The
 array stage in ``fleetmst.engine`` must reproduce its forest (parent
 array, cluster ids, counter and arcs touched) in every mode.
 ``_components`` is the component labeller that ``fleet.beam_components``
-must agree with.
+must agree with.  ``lexsort_graph`` is the two-lexsort graph builder
+that ``graph.graph_from_arrays`` must reproduce, graph and error alike.
 """
 
 from collections import deque
@@ -13,6 +14,7 @@ from collections import deque
 import numpy as np
 
 from fleetmst.engine import Forest, _check_model, _forest, _forward_arcs
+from fleetmst.errors import DuplicateEdge, IdOutOfRange, NonPositiveWeight, SelfLoop
 from fleetmst.fleet import FleetModel, half_beams
 from fleetmst.generators import lattice8, random_gnm
 from fleetmst.graph import Graph, graph_from_arrays
@@ -120,6 +122,51 @@ def _beam_loop(beams, ptr: list, flat: list, cl: list, parent: list, k: int) -> 
             parent[free] = claimed
             touches += _reap((free,), ptr, flat, cl, parent)
     return k, touches
+
+
+def lexsort_graph(
+    n: int, u: np.ndarray, v: np.ndarray, w_scaled: np.ndarray, scale: int
+) -> Graph:
+    """``graph_from_arrays`` as first written: one lexsort over the m
+    edges finds duplicates, a second over the 2m arcs orders the rows."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    w_scaled = np.asarray(w_scaled, dtype=np.int64)
+    if u.size:
+        if u.min(initial=0) < 0 or v.min(initial=0) < 0 or max(u.max(), v.max()) >= n:
+            bad = np.nonzero((u < 0) | (v < 0) | (u >= n) | (v >= n))[0][0]
+            raise IdOutOfRange(
+                f"edge ({u[bad]}, {v[bad]}) has an id outside [0, {n})"
+            )
+        loops = np.nonzero(u == v)[0]
+        if loops.size:
+            raise SelfLoop(f"self loop at node {int(u[loops[0]])}")
+        nonpos = np.nonzero(w_scaled <= 0)[0]
+        if nonpos.size:
+            raise NonPositiveWeight(
+                f"edge ({int(u[nonpos[0]])}, {int(v[nonpos[0]])}) has non-positive weight"
+            )
+        a = np.minimum(u, v)
+        b = np.maximum(u, v)
+        order = np.lexsort((b, a))
+        aa, bb = a[order], b[order]
+        dup = np.nonzero((aa[1:] == aa[:-1]) & (bb[1:] == bb[:-1]))[0]
+        if dup.size:
+            raise DuplicateEdge(
+                f"edge ({int(aa[dup[0]])}, {int(bb[dup[0]])}) appears more than once"
+            )
+
+    src = np.concatenate([u, v])
+    dst = np.concatenate([v, u])
+    ww = np.concatenate([w_scaled, w_scaled])
+    order = np.lexsort((dst, src))
+    src = src[order]
+    dst = dst[order]
+    ww = ww[order]
+    counts = np.bincount(src, minlength=n).astype(np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return Graph(n, indptr, dst, ww, scale)
 
 
 def equal_path(n):

@@ -1,10 +1,12 @@
 import csv
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
 from fleetmst import baselines, engine
-from fleetmst.cli import CSV_HEADER, main
+from fleetmst.cli import CSV_HEADER, _read_tree, main
+from fleetmst.errors import ParseError
 from fleetmst.graph import read_graph
 
 
@@ -120,6 +122,50 @@ def test_tree_file_without_header_is_an_input_error(tmp_path, capsys):
     tpath.write_text("0 1 1\n1 2 2\n")
     assert main(["verify", str(gpath), str(tpath)]) == 2
     assert capsys.readouterr().err.startswith("error: line 1: ")
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["x y z w", "5 0 1 0", "2 -1 1 0", "-2 0 1 0", "2 0 1 -1", "2 0 abc 0", "2 0 1/0 0", "2 1.5 1 0", "2 0 1"],
+)
+def test_malformed_tree_header_is_an_input_error(tmp_path, capsys, header):
+    # "5 0 1 0": the tree claims 5 nodes for a 2-node graph.
+    gpath = tmp_path / "g.txt"
+    tpath = tmp_path / "t.txt"
+    gpath.write_text("2 1\n0 1 1\n")
+    tpath.write_text(f"# a tree\n{header}\n0 1 1\n")
+    assert main(["verify", str(gpath), str(tpath)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"], ids=["empty", "comments"])
+def test_tree_file_with_no_lines_is_an_input_error(tmp_path, capsys, text):
+    gpath = tmp_path / "g.txt"
+    tpath = tmp_path / "t.txt"
+    gpath.write_text("2 1\n0 1 1\n")
+    tpath.write_text(text)
+    assert main(["verify", str(gpath), str(tpath)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: line 1: no header 'n k total rounds' in the tree file"]
+
+
+def test_read_tree_takes_the_path_alone(tmp_path):
+    tpath = tmp_path / "t.txt"
+    tpath.write_text("3 1 2.5 0\n0 1 1\n1 2 1.5\n")
+    assert _read_tree(tpath) == [(0, 1, 1), (1, 2, Fraction(3, 2))]
+    assert _read_tree(tpath, 3) == _read_tree(tpath)
+    with pytest.raises(ParseError, match="n=3, the graph has n=4"):
+        _read_tree(tpath, 4)
+
+
+def test_node_count_beyond_the_key_range_is_an_input_error(tmp_path, capsys):
+    # 3037000500**2 overflows int64; the build is refused before any
+    # n-sized array is allocated.
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("3037000500 0\n")
+    assert main(["build", str(gpath), "--out", str(tmp_path / "t.txt")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_missing_input_is_an_input_error(tmp_path, capsys):

@@ -2,20 +2,27 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import lexsort_graph
 
 from fleetmst.errors import (
     DuplicateEdge,
+    GraphError,
     IdOutOfRange,
     InvalidWeight,
     NonPositiveWeight,
     ParseError,
     SelfLoop,
+    TooLarge,
     UnknownEdge,
 )
+from fleetmst.generators import lattice8
 from fleetmst.graph import (
+    MAX_NODES,
+    Graph,
     build_graph,
     decimal_places,
     format_weight,
+    graph_from_arrays,
     read_graph,
     scale_weights,
     total_weight,
@@ -96,6 +103,21 @@ def test_build_graph_validation():
         build_graph(-1, [])
 
 
+@pytest.mark.parametrize(
+    "bad", [0.9, 1.0, np.float64(1), "1", Fraction(1), True, False, np.bool_(True), None, 2**70]
+)
+def test_build_graph_rejects_ids_that_are_not_integers_in_range(bad):
+    # Read through an int64 array, 0.9 or "1" would become a valid id.
+    for edge in [(bad, 2, 1), (2, bad, 1)]:
+        with pytest.raises(IdOutOfRange, match=r"edge \(.*\) has an id"):
+            build_graph(3, [(0, 1, 1), edge])
+
+
+def test_build_graph_accepts_python_and_numpy_integer_ids():
+    edges = [(0, 1, 1), (np.int32(1), np.uint8(2), 2), (np.int64(2), 0, 3)]
+    assert build_graph(3, edges) == build_graph(3, TRIANGLE)
+
+
 def test_weight_between():
     g = build_graph(3, TRIANGLE)
     assert g.weight_between(0, 1) == 1
@@ -169,3 +191,100 @@ def test_read_graph_accepts_comments_and_blanks(tmp_path):
     g = read_graph(p)
     assert g.m == 2
     assert g.unscale(g.weight_between(1, 2)) == Fraction(1, 2)
+
+
+def _builds(build, n, u, v, w):
+    """The graph ``build`` makes, or the class and text of its error."""
+    try:
+        return build(n, u, v, w, 1)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def _same_build(n, u, v, w):
+    got, want = _builds(graph_from_arrays, n, u, v, w), _builds(lexsort_graph, n, u, v, w)
+    assert got == want
+    if isinstance(want, Graph):
+        for a, b in [(got.indptr, want.indptr), (got.leaves, want.leaves), (got.weights, want.weights)]:
+            assert a.dtype == b.dtype
+
+
+def _scramble(rng, u, v, w):
+    """The edges in a random order, each in a random orientation."""
+    perm = rng.permutation(u.size)
+    flip = rng.random(u.size) < 0.5
+    u, v = u[perm], v[perm]
+    return np.where(flip, v, u), np.where(flip, u, v), w[perm]
+
+
+def test_graph_from_arrays_matches_the_lexsort_builder_on_the_corpus(corpus):
+    rng = np.random.default_rng(14)
+    for _, g in corpus:
+        src = g.arc_sources()
+        keep = src < g.leaves
+        u, v, w = _scramble(rng, src[keep], g.leaves[keep], g.weights[keep])
+        assert graph_from_arrays(g.n, u, v, w, 1) == g
+        _same_build(g.n, u, v, w)
+
+
+def test_graph_from_arrays_matches_the_lexsort_builder_on_planted_duplicates():
+    rng = np.random.default_rng(41)
+    for _ in range(1500):
+        n = int(rng.integers(2, 40))
+        pairs = {tuple(sorted(p)) for p in rng.integers(0, n, (int(rng.integers(1, 60)), 2)) if p[0] != p[1]}
+        if not pairs:
+            continue
+        u, v = np.array(sorted(pairs)).T
+        w = rng.integers(1, 4, u.size)
+        dup = rng.integers(0, u.size, int(rng.integers(1, 4)))
+        u, v, w = np.concatenate([u, v[dup]]), np.concatenate([v, u[dup]]), np.concatenate([w, w[dup]])
+        flip = rng.random(u.size) < 0.5
+        u, v = np.where(flip, v, u), np.where(flip, u, v)
+        _same_build(n, *_scramble(rng, u, v, w))
+
+
+def test_graph_from_arrays_matches_the_lexsort_builder_on_invalid_edges():
+    # A bad id, a self loop or a non-positive weight wins over a duplicate.
+    u, v, w = np.array([0, 1, 1, 2]), np.array([1, 0, 2, 2]), np.array([1, 1, 0, 1])
+    for cut in range(1, 5):
+        _same_build(3, u[:cut], v[:cut], w[:cut])
+    _same_build(2, u, v, w)
+
+
+def test_graph_from_arrays_sorts_the_arc_keys_once(monkeypatch):
+    g = lattice8(12, (1, 2, 3), seed=5)
+    src = g.arc_sources()
+    keep = src < g.leaves
+    u, v, w = _scramble(np.random.default_rng(3), src[keep], g.leaves[keep], g.weights[keep])
+    calls = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("kind"))
+        return argsort(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph_from_arrays called np.lexsort")
+
+    monkeypatch.setattr(np, "argsort", counted)
+    monkeypatch.setattr(np, "lexsort", refuse)
+    assert graph_from_arrays(g.n, u, v, w, 1) == g
+    assert calls == ["stable"]
+
+
+def test_graph_from_arrays_refuses_n_beyond_the_key_range(monkeypatch):
+    # n * n must fit in int64 for the arc keys u * n + v; the limit is
+    # checked before any n-sized array exists.
+    assert MAX_NODES**2 < 2**63 <= (MAX_NODES + 1) ** 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    for name in ("zeros", "bincount", "concatenate"):
+        monkeypatch.setattr(np, name, refuse)
+    with pytest.raises(TooLarge, match="3037000500 nodes"):
+        graph_from_arrays(3_037_000_500, [], [], [], 1)
+    with pytest.raises(TooLarge):
+        graph_from_arrays(2**64, [], [], [], 1)
+    with pytest.raises(TooLarge):
+        build_graph(3_037_000_500, [])
