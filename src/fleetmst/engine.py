@@ -2,21 +2,21 @@
 
 The node stage reaps clusters out of the fleet model: beam-seeded
 (``oag_then_merge``), from each node's flotilla top (``ooag``), or
-kernel-seeded (``koag_seeded``).  Each mode is defined by one FIFO reap
-per cluster in founding order (``tests/oracles.py`` keeps that reap, in
-plain Python, as the oracle); ``array_stage`` computes its forest in
-whole-array steps: beam components by hooking and pointer jumping
-(``fleet.beam_components``), the founders as a fixpoint of min-label
-passes over the subjection DAG (under ``koag_seeded`` the kernels
-found, so one label pass sequence gives every kernel's claim), the
-picks by a BFS over all clusters at once; koag's beam loop then runs
-only over the beams the kernels left with a free end.  Hooking and
-pointer jumping end within O(log n) rounds; the founder rounds and
-label passes need not (founding order is a lexicographically first
-greedy choice, and the DAG can be deep), so each has a budget, past
-which one ascending pass (``_claim_upstream``) finishes exactly.  The
-BFS has no budget: a level with a small frontier is expanded in Python
-(``_small_level``), so a deep cluster costs little per level.
+kernel-seeded (``koag_seeded``: the kernels found first, then the beam
+loop of ``oag_then_merge`` runs over the nodes they leave free).  Each
+mode is defined by one FIFO reap per cluster in founding order
+(``tests/oracles.py`` keeps it, in plain Python, as the oracle);
+``array_stage`` computes the same forest in whole-array steps: beam
+components by hooking and pointer jumping (``fleet._hook``), the
+founders as a fixpoint of min-label passes over the DAG that strict
+subjection forms on them (MVC falls along it), the picks by one BFS
+over all clusters.  Hooking and pointer jumping end within O(log n)
+rounds; the founder rounds and label passes need not (founding order
+is a lexicographically first greedy choice, and the DAG can be deep),
+so each has a budget, past which one ascending pass
+(``_claim_upstream``) finishes exactly.  The BFS has no budget: a
+level with a small frontier is expanded in Python (``_small_level``),
+so a deep cluster costs little per level.
 ``mode="boruvka"`` skips the node stage (every node its own cluster),
 as a reference line.  The cluster stage then merges clusters
 Boruvka-style over one contracting edge list: the first round lists
@@ -53,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InconsistentModel, NoProgress
-from .fleet import FleetModel, _indptr, _jump, beam_components, build_fleet, half_beams
+from .fleet import FleetModel, _hook, _indptr, _jump, beam_components, build_fleet, half_beams
 from .graph import Graph, Weight, decimal_places, format_weight
 
 MODES = ("oag_then_merge", "ooag", "koag_seeded")
@@ -170,46 +170,6 @@ SMALL_FRONTIER = 16
 def _check_model(g: Graph, f: FleetModel) -> None:
     if f.graph is not g and f.graph != g:
         raise InconsistentModel("fleet model was not built from this graph")
-
-
-def _beam_loop(beams, ptr: list, flat: list, cl: list, parent: list, k: int) -> tuple[int, list, list]:
-    """The beam loop of ``koag_seeded``.  For each beam (a, b), a < b, in
-    order: a beam with both ends free founds cluster k (b the child of a)
-    and claims from both; a beam with one claimed end joins the free end
-    to that end's cluster, as its child, and claims from it.  A claim
-    takes every free node reachable from its seeds along ``ptr``/``flat``:
-    reverse-subjection children, then beam partners.  Returns the next
-    cluster id, each node's claim number (-1: none) and the seeds, claim
-    by claim, from which ``_reap_parents`` gives the other parents."""
-    claim = [-1] * len(cl)
-    seeds: list[int] = []
-    i = 0
-    for a, b in beams:
-        if cl[a] < 0 and cl[b] < 0:
-            cl[a] = cl[b] = k
-            parent[b] = a
-            stack = [a, b]
-            k += 1
-        elif cl[a] < 0 or cl[b] < 0:
-            claimed, free = (a, b) if cl[a] >= 0 else (b, a)
-            cl[free] = cl[claimed]
-            parent[free] = claimed
-            stack = [free]
-        else:
-            continue
-        seeds += stack
-        cid = cl[stack[0]]
-        for y in stack:
-            claim[y] = i
-        while stack:
-            y = stack.pop()
-            for r in flat[ptr[y] : ptr[y + 1]]:
-                if cl[r] < 0:
-                    cl[r] = cid
-                    claim[r] = i
-                    stack.append(r)
-        i += 1
-    return k, claim, seeds
 
 
 def _forest(g: Graph, f: FleetModel, cl: np.ndarray, parent: np.ndarray, k: int, touches: int) -> Forest:
@@ -348,82 +308,64 @@ def _reap_parents(
 
 def array_stage(g: Graph, f: FleetModel, mode: str, kernel_of: Optional[np.ndarray] = None) -> Forest:
     """The node stage of ``mode``, one FIFO reap per cluster in founding
-    order, in whole-array steps.  Under ``koag_seeded``, ``kernel_of``
-    numbers the kernels' members (see ``_koag_stage``).
-
-    Beams join equal-MVC nodes; contracted to their beam components,
-    the strict subjection arcs r -> l form a DAG along which MVC falls.
-    A founder claims every unclaimed node upstream of its component, so
-    each node ends in the earliest-founded component downstream of it.
-    Under ``ooag`` every node nominates the component at the top of its
-    target chain, under ``oag_then_merge`` every beam member its own;
-    ``_founders`` finds who founds.  Founders in id order give the
-    cluster ids, and ``_reap_parents`` the picks.
+    order, in whole-array steps and in the oracle's order: under
+    ``koag_seeded`` the kernels that ``kernel_of`` numbers found the
+    first clusters (``_kernel_phase``); then ``_beam_loop`` runs over the
+    nodes left free, except under ``ooag``, where every non-isolated
+    node, in id order, climbs its target chain to its flotilla top and,
+    if that is still free, founds a cluster on the beam there.  Such a
+    claim takes every free node upstream of the top's beam component,
+    along the subjection DAG, so each node joins the earliest claim
+    downstream of it (``_founders``, each node nominating its top).
     """
     _check_model(g, f)
-    if mode == "koag_seeded":
-        return _koag_stage(g, f, kernel_of)
     n = g.n
+    cl = np.full(n, -1)
+    parent = np.full(n, -1)
+    k = touches = 0
+    if mode == "koag_seeded":
+        k, touches = _kernel_phase(f, kernel_of, cl, parent)
+    if mode != "ooag":
+        k, more = _beam_loop(f, cl, parent, k)
+        return _forest(g, f, cl, parent, k, touches + more)
+
     ids = np.arange(n)
     iso = f.isolated
     comp = beam_components(f)
     down = (comp[f.rev_children], comp[np.repeat(ids, np.diff(f.rev_indptr))])
-
-    if mode == "ooag":
-        nominators = np.flatnonzero(~iso)
-        t = f.target[nominators]
-        climb = nominators[f.mvc_scaled[t] != f.mvc_scaled[nominators]]
-        top = ids.copy()
-        top[climb] = f.target[climb]
-        chain = np.zeros(n, dtype=np.int64)
-        chain[climb] = 1
-        top = _jump(top, chain)
-        nominee = comp[top[nominators]]
-    else:
-        nominators = np.flatnonzero(np.diff(f.beam_indptr))
-        nominee = comp[nominators]
-    founders, m = _founders(n, nominators, nominee, comp[nominators], down)
+    nominators = np.flatnonzero(~iso)
+    t = f.target[nominators]
+    climb = nominators[f.mvc_scaled[t] != f.mvc_scaled[nominators]]
+    top = ids.copy()
+    top[climb] = f.target[climb]
+    chain = np.zeros(n, dtype=np.int64)
+    chain[climb] = 1
+    top = _jump(top, chain)
+    founders, m = _founders(n, nominators, comp[top[nominators]], comp[nominators], down)
 
     k = founders.size
     order = np.empty(n, dtype=np.int64)
     order[founders] = np.arange(k)
-    cl = np.full(n, -1)
     cl[~iso] = order[m[comp[~iso]]]
-
-    touches = f.rev_children.size + f.beam_leaves.size
-    parent = np.full(n, -1)
-    if mode == "ooag":
-        a = top[founders]
-        b = f.target[a]
-        parent[a] = b
-        touches += int(chain[founders].sum()) + k
-    else:
-        a = founders
-        b = f.beam_leaves[f.beam_indptr[a]]
-        parent[b] = a
+    a = top[founders]
+    b = f.target[a]
+    parent[a] = b
     _reap_parents(*_forward_arcs(f), cl, np.stack((a, b), axis=1).ravel(), parent)
+    touches = f.rev_children.size + f.beam_leaves.size + int(chain[founders].sum()) + k
     return _forest(g, f, cl, parent, k, touches)
 
 
-def _koag_stage(g: Graph, f: FleetModel, kernel_of: np.ndarray) -> Forest:
-    """The ``koag_seeded`` node stage in whole-array steps, where
-    ``kernel_of[v]`` is the index of v's kernel (kernels numbered by
-    their smallest member) or -1.  Each kernel founds a cluster first: a
-    BFS along its beams from its smallest member, then a reap of its
-    subjection chains without beam crossing; ``_beam_loop`` follows.
-
-    No kernel member subjects strictly to anything, so kernels are sinks
-    of the subjection DAG and no reap claims a member of another
-    cluster: kernel i claims the nodes upstream of it that no earlier
-    kernel is downstream of.  So each node's cluster is the least kernel
-    index downstream of it, by label passes (past their budget, by
-    ``_claim_upstream`` over the kernels in order).  The parents come
-    from a beam BFS from each kernel's smallest member, then a
-    reverse-subjection BFS from all members.  A claimed node never
-    becomes free again, so the beam loop that follows only needs the
-    beams with a free end, and it reads only the free nodes' arcs.
-    """
-    n = g.n
+def _kernel_phase(f: FleetModel, kernel_of: np.ndarray, cl: np.ndarray, parent: np.ndarray) -> tuple[int, int]:
+    """Each kernel (``kernel_of[v]`` its index, numbered by smallest
+    member, -1 outside) founds a cluster: a BFS along its beams from its
+    smallest member, then a reap of its subjection chains without beam
+    crossing.  Kernels are sinks of the subjection DAG (no member
+    subjects strictly to anything), so each node joins the least kernel
+    downstream of it, by label passes (past their budget, by
+    ``_claim_upstream`` over the kernels in order), and the claimed
+    nodes are closed upstream.  Fills ``cl`` and ``parent``; returns the
+    kernel count and the arcs touched."""
+    n = f.n
     members = np.flatnonzero(kernel_of >= 0)
     k = int(kernel_of.max(initial=-1)) + 1
     roots = np.full(k, n)
@@ -434,45 +376,67 @@ def _koag_stage(g: Graph, f: FleetModel, kernel_of: np.ndarray) -> Forest:
     if not _settle(m, *down):
         seeds = members[np.argsort(kernel_of[members], kind="stable")]
         m = _claim_upstream(n, *down, seeds, seeds, kernel_of[seeds])[0]
-    cl = np.where(m < n, m, -1)
-    parent = np.full(n, -1)
+    claimed = m < n
+    cl[claimed] = m[claimed]
     _reap_parents(f.beam_indptr, f.beam_leaves, cl, roots, parent)
     _reap_parents(f.rev_indptr, f.rev_children, cl, members, parent)
-    claimed = cl >= 0
-    touches = int(np.diff(f.rev_indptr)[claimed].sum())
+    return k, int(np.diff(f.rev_indptr)[claimed].sum())
 
+
+def _beam_loop(f: FleetModel, cl: np.ndarray, parent: np.ndarray, k: int) -> tuple[int, int]:
+    """The beam loop over the nodes still free (``cl < 0``), after k
+    clusters.  For each beam (a, b), a < b, in order: one with both ends
+    free founds cluster k (b the child of a) and claims from both; one
+    with a claimed end joins the free end to that end's cluster, as its
+    child, and claims from it.  A claim takes every free node reachable
+    from its seeds along ``_forward_arcs``: its free end's whole free
+    beam component (its home) and everything free upstream.  So only
+    the first loose beam of each home can claim, and does when no
+    earlier claim reached its home; those beams, numbered in beam order,
+    nominate their homes to ``_founders``.  The BFS of ``_reap_parents``
+    runs over claim numbers, so a join's BFS stays out of the cluster it
+    joins.  Fills ``cl`` and ``parent``; returns the next cluster id and
+    the arcs touched."""
+    n = f.n
+    free = cl < 0
     a, b = half_beams(f)
-    loose = ~(claimed[a] & claimed[b])
-    if loose.any():
-        # The beam loop runs in local ids over the free nodes and the ends
-        # of their arcs, the only nodes it reads.
-        free = ~claimed
-        fwd_ptr, fwd = _forward_arcs(f)
-        deg = np.diff(fwd_ptr)
-        fwd = fwd[np.repeat(free, deg)]
-        near = free.copy()
-        near[fwd] = True
-        local = np.flatnonzero(near)
-        loc = np.cumsum(near) - 1
-        ptr = np.zeros(local.size + 1, dtype=np.int64)
-        ptr[loc[free] + 1] = deg[free]
-        ptr, fwd = np.cumsum(ptr), loc[fwd]
-        lcl, lparent = cl[local].tolist(), [-1] * local.size
-        beams = zip(loc[a[loose]].tolist(), loc[b[loose]].tolist())
-        k, claim, seeds = _beam_loop(beams, ptr.tolist(), fwd.tolist(), lcl, lparent, k)
-        claim, lparent = np.array(claim), np.array(lparent, dtype=np.int64)
-        _reap_parents(ptr, fwd, claim, np.array(seeds, dtype=np.int64), lparent)
-        touches += int(np.diff(ptr)[claim >= 0].sum())
-        cl[local] = lcl
-        joined = lparent >= 0
-        parent[local[joined]] = local[lparent[joined]]
-    return _forest(g, f, cl, parent, k, touches)
+    fa, fb = free[a], free[b]
+    loose = fa | fb
+    if not loose.any():
+        return k, 0
+    both = np.flatnonzero(fa & fb)
+    ea, eb = a[both], b[both]
+    lab = np.arange(n)
+    np.minimum.at(lab, eb, ea)
+    comp = _hook(lab, ea, eb)
+    home = comp[np.where(fa, a, b)]  # beams with no free end drop out below
+    beam = np.arange(a.size)
+    first = np.full(n, a.size)
+    np.minimum.at(first, home, beam)
+    nominated = np.flatnonzero((first[home] == beam) & loose)
+    home = home[nominated]
+    r, l = f.rev_children, np.repeat(np.arange(n), np.diff(f.rev_indptr))
+    up = free[r]
+    claimers, m = _founders(n, np.arange(home.size), home, home, (comp[r[up]], comp[l[up]]))
+
+    a, b = a[nominated[claimers]], b[nominated[claimers]]
+    found = free[a] & free[b]
+    cid = np.empty(home.size, dtype=np.int64)
+    cid[claimers] = np.where(found, k + np.cumsum(found) - 1, np.maximum(cl[a], cl[b]))
+    joins_a = ~free[b]
+    parent[np.where(joins_a, a, b)] = np.where(joins_a, b, a)
+    seeds = np.stack((a, b), axis=1).ravel()
+    claim = np.where(free, m[comp], n)
+    ptr, fwd = _forward_arcs(f)
+    _reap_parents(ptr, fwd, claim, seeds[free[seeds]], parent)
+    mine = claim < n
+    cl[mine] = cid[claim[mine]]
+    return k + int(found.sum()), int(np.diff(ptr)[mine].sum())
 
 
 def node_stage(g: Graph, f: FleetModel) -> Forest:
-    """Beam-seeded reaping: every still-unclaimed beam pair founds a
-    cluster, which then absorbs its subjection chains and crosses beams
-    peer-to-peer.  Isolated nodes end up as singleton clusters."""
+    """The ``oag_then_merge`` node stage: ``array_stage``'s beam loop over
+    all nodes.  Isolated nodes end up as singleton clusters."""
     return array_stage(g, f, "oag_then_merge")
 
 

@@ -157,7 +157,7 @@ def trace_chain(f: FleetModel, start: int) -> list[int]:
 def half_beams(f: FleetModel) -> tuple[np.ndarray, np.ndarray]:
     """Every beam once as (a, b) with a < b, sorted."""
     a = np.repeat(np.arange(f.n), np.diff(f.beam_indptr))
-    half = a < f.beam_leaves
+    half = np.flatnonzero(a < f.beam_leaves)  # index gathers beat mask gathers here
     return a[half], f.beam_leaves[half]
 
 

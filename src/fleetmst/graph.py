@@ -85,7 +85,10 @@ def decimal_places(w: Weight) -> int:
 
 def scale_weights(raw: Sequence[WeightLike]) -> tuple[np.ndarray, int]:
     """Convert weights to (scaled int64 array, scale) with minimal scale."""
-    fracs = [_as_fraction(w) for w in raw]
+    return _scale_fractions([_as_fraction(w) for w in raw])
+
+
+def _scale_fractions(fracs: list[Fraction]) -> tuple[np.ndarray, int]:
     places = max(map(decimal_places, fracs), default=0)
     scale = 10**places
     vals = [int(f * scale) for f in fracs]
@@ -185,8 +188,8 @@ class Graph:
         return unscale(scaled, self.scale)
 
     def _check_id(self, r: int) -> None:
-        if not 0 <= r < self.n:
-            raise IdOutOfRange(f"node id {r} not in [0, {self.n})")
+        if not _is_id(r, self.n):
+            raise IdOutOfRange(f"node id {r!r} is not an integer in [0, {self.n})")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -251,27 +254,33 @@ def graph_from_arrays(
     return Graph(n, indptr, leaves, weights, scale)
 
 
-def build_graph(
-    n: int, edges: Iterable[tuple[int, int, WeightLike]]
-) -> Graph:
+def build_graph(n: int, edges: Iterable[tuple[int, int, WeightLike]]) -> Graph:
     """Build a validated Graph from an (u, v, w) edge list.
 
     Rejects duplicate unordered pairs, self loops, non-positive weights
     and ids that are not integers in [0, n): an id must be a Python or
     numpy integer, never a bool, float, str or Fraction, so nothing is
-    truncated.  The result is independent of edge order.
+    truncated.  n must be such an integer, at most MAX_NODES, too.  The
+    result is independent of edge order.
     """
-    if n < 0:
-        raise IdOutOfRange(f"negative node count {n}")
+    if not _is_id(n, math.inf):
+        raise IdOutOfRange(f"node count {n!r} is not a non-negative integer")
+    if n > MAX_NODES:
+        raise TooLarge(f"{n} nodes exceed the limit of {MAX_NODES}")
     edges = list(edges)
     for e in edges:
         for r in e[:2]:
-            if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 0 <= r < n:
+            if not _is_id(r, n):
                 raise IdOutOfRange(f"edge ({e[0]!r}, {e[1]!r}) has an id that is not an integer in [0, {n})")
     us = np.array([e[0] for e in edges], dtype=np.int64)
     vs = np.array([e[1] for e in edges], dtype=np.int64)
     ws, scale = scale_weights([e[2] for e in edges])
     return graph_from_arrays(n, us, vs, ws, scale)
+
+
+def _is_id(r, n: int) -> bool:
+    """Whether r is a Python or numpy integer, not a bool, in [0, n)."""
+    return not isinstance(r, bool) and isinstance(r, (int, np.integer)) and 0 <= r < n
 
 
 def total_weight(g: Graph, edges: Iterable[tuple[int, int]]) -> Weight:
@@ -295,7 +304,7 @@ def read_graph(path) -> Graph:
     n = m = None
     us: list[int] = []
     vs: list[int] = []
-    ws: list[WeightLike] = []
+    ws: list[Fraction] = []
     seen: set[tuple[int, int]] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -344,7 +353,7 @@ def read_graph(path) -> Graph:
         raise ParseError(1, "empty file, missing 'n m' header")
     if len(us) != m:
         raise ParseError(line_no if us or m else 1, f"expected {m} edges, found {len(us)}")
-    w_arr, scale = scale_weights(ws)
+    w_arr, scale = _scale_fractions(ws)
     return graph_from_arrays(
         n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), w_arr, scale
     )

@@ -3,8 +3,8 @@
 A kernel is a beam component in which no member subjects to anything
 lighter (every member has an empty towboat component S).  Detection
 labels the beam components by hooking and pointer jumping
-(``fleet.beam_components``, which the node stage starts from too) and
-drops every component with a disqualified member, in whole-array steps.  The number of kernels is
+(``fleet.beam_components``) and drops every component with a
+disqualified member, in whole-array steps.  The number of kernels is
 the intrinsic k value of the instance.
 """
 
@@ -70,10 +70,7 @@ def k_value(g: Graph, strict: bool = False) -> int:
 
 
 def koag_seed(g: Graph, f: FleetModel, report: KernelReport) -> Forest:
-    """Kernels become the initial clusters; everything else is absorbed
-    strictly top-to-bottom along subjection arcs.  Parts of the graph
-    not reachable that way (components whose beams were all abandoned,
-    or beams shielded behind their own mutual targets) fall back to
-    plain beam seeding so coverage is preserved.  Computed by
-    ``array_stage``, whose loops finish exactly on every input."""
+    """The ``koag_seeded`` node stage: the kernels found the first
+    clusters, then the beam loop of ``oag_then_merge`` runs over the
+    nodes they leave free (``engine.array_stage``)."""
     return array_stage(g, f, "koag_seeded", report.kernel_of)

@@ -16,7 +16,7 @@ from fleetmst.baselines import (
     prim,
     verify_spanning_forest,
 )
-from fleetmst.errors import NotASpanningForest, TooLarge
+from fleetmst.errors import IdOutOfRange, NotASpanningForest, TooLarge
 from fleetmst.generators import complete, lattice8, random_gnm
 from fleetmst.graph import build_graph
 
@@ -63,6 +63,12 @@ def test_prim_grows_a_spanning_forest():
         res = prim(g, seed=seed)
         assert (res.edges, res.total) == (ref.edges, ref.total), seed
     assert prim(build_graph(0, [])).edges == []
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "0", -1, 3])
+def test_prim_rejects_seeds_that_are_not_node_ids(seed):
+    with pytest.raises(IdOutOfRange):
+        prim(TRIANGLE, seed=seed)
 
 
 def test_brute_force_tiny_graphs():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fleetmst.errors import IsolatedNode
+from fleetmst.errors import IdOutOfRange, IsolatedNode
 from fleetmst.fleet import build_fleet, flotillas, half_beams, trace_chain
 from fleetmst.graph import build_graph
 
@@ -88,6 +88,9 @@ def test_isolated_node_entries():
     assert not f.in_beam(3)
     with pytest.raises(IsolatedNode):
         trace_chain(f, 3)
+    for bad in (True, 1.0, 4):
+        with pytest.raises(IdOutOfRange):
+            trace_chain(f, bad)
 
 
 def test_compute_mvc_matches_direct_minimums(corpus):

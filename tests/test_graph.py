@@ -113,6 +113,27 @@ def test_build_graph_rejects_ids_that_are_not_integers_in_range(bad):
             build_graph(3, [(0, 1, 1), edge])
 
 
+@pytest.mark.parametrize("n", [3.5, 3.0, True, np.bool_(True), "3", Fraction(3), None, -1])
+def test_build_graph_rejects_node_counts_that_are_not_non_negative_integers(n):
+    with pytest.raises(IdOutOfRange, match="node count"):
+        build_graph(n, [])
+
+
+def test_build_graph_refuses_n_beyond_the_key_range_before_reading_ids():
+    # An id beyond int64 would overflow the id arrays.
+    with pytest.raises(TooLarge):
+        build_graph(2**64, [(2**63, 0, 1)])
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.5, True, np.bool_(False), "1", None, -1, 3, 2**70])
+def test_graph_lookups_reject_ids_that_are_not_integers_in_range(bad):
+    g = build_graph(3, TRIANGLE)
+    for call in (g.degree, lambda r: g.weight_between(r, 1), lambda r: g.weight_between(0, r)):
+        with pytest.raises(IdOutOfRange, match="not an integer in"):
+            call(bad)
+    assert g.degree(np.int32(1)) == 2
+
+
 def test_build_graph_accepts_python_and_numpy_integer_ids():
     edges = [(0, 1, 1), (np.int32(1), np.uint8(2), 2), (np.int64(2), 0, 3)]
     assert build_graph(3, edges) == build_graph(3, TRIANGLE)
