@@ -33,10 +33,9 @@ from .graph import (
     Graph,
     build_graph,
     read_graph,
-    total_weight,
     write_graph,
 )
-from .kernels import KernelReport, detect_kernels, k_value, koag_seed
+from .kernels import KernelReport, detect_kernels, koag_seed
 
 __all__ = [
     "DisjointSet",
@@ -54,7 +53,6 @@ __all__ = [
     "cycle",
     "detect_kernels",
     "flotillas",
-    "k_value",
     "koag_seed",
     "kruskal",
     "lattice8",
@@ -66,7 +64,6 @@ __all__ = [
     "random_gnm",
     "read_graph",
     "run",
-    "total_weight",
     "trace_chain",
     "verify_spanning_forest",
     "write_graph",

@@ -50,38 +50,58 @@ class DisjointSet:
         return True
 
 
+def _finish(g: Graph, u, v, w, mode: str, comparisons: int) -> MstResult:
+    """The picked edges as int64 columns (u, v, scaled w), u < v, made a
+    result: sorted on u * n + v in one argsort, summed exactly, unscaled
+    only off scale 1."""
+    order = np.argsort(u * g.n + v)
+    w = w[order]
+    ws = w.tolist() if g.scale == 1 else [g.unscale(x) for x in w.tolist()]
+    return MstResult(
+        edges=list(zip(u[order].tolist(), v[order].tolist(), ws)),
+        total=g.unscale(_exact_total(w)),
+        k_after_node_stage=0,
+        rounds=0,
+        comparisons=comparisons,
+        per_round=[],
+        node_arc_touches=0,
+        mode=mode,
+    )
+
+
 def kruskal(g: Graph) -> MstResult:
     """Classic ascending-weight greedy; deterministic under ties via
     the (weight, u, v) sort order.  The half arcs u < v are stored in
-    (u, v) order, so a stable sort on weight gives it."""
+    (u, v) order, so a stable sort on weight gives it.
+
+    One loop scans that order over a plain parent list: each end finds
+    its root by path halving, and the larger end's root links under the
+    smaller end's, without ranks (still O(log n) amortised per find;
+    Tarjan and van Leeuwen 1984).  The loop records only the scan
+    position of each pick and stops at n - 1 picks; the picked columns
+    are then gathered, sorted and summed in arrays.  ``comparisons`` is
+    the number of edges scanned."""
     src = g.arc_sources()
-    keep = src < g.leaves
-    w = g.weights[keep]
-    order = np.argsort(w, kind="stable")
-    u = src[keep][order].tolist()
-    v = g.leaves[keep][order].tolist()
-    w = w[order].tolist()
-    ds = DisjointSet(g.n)
-    picked: list[tuple[int, int, int]] = []
-    total = 0
-    scanned = 0
-    for a, b, ww in zip(u, v, w):
-        scanned += 1
-        if ds.union(a, b):
-            picked.append((a, b, ww))
-            total += ww
-            if len(picked) == g.n - 1:
+    half = np.flatnonzero(src < g.leaves)
+    order = half[np.argsort(g.weights[half], kind="stable")]
+    parent = list(range(g.n))
+    picks: list[int] = []
+    need = g.n - 1
+    i = -1
+    # A memoryview makes each end's int only when the scan reaches it,
+    # not one for every edge up front.
+    for i, (a, b) in enumerate(zip(memoryview(src[order]), memoryview(g.leaves[order]))):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[b] = a
+            picks.append(i)
+            if len(picks) == need:
                 break
-    return MstResult(
-        edges=sorted((a, b, g.unscale(ww)) for a, b, ww in picked),
-        total=g.unscale(total),
-        k_after_node_stage=0,
-        rounds=0,
-        comparisons=scanned,
-        per_round=[],
-        node_arc_touches=0,
-        mode="kruskal",
-    )
+    arcs = order[picks]
+    return _finish(g, src[arcs], g.leaves[arcs], g.weights[arcs], "kruskal", i + 1)
 
 
 def prim(g: Graph, seed: int = 0) -> MstResult:
@@ -91,18 +111,17 @@ def prim(g: Graph, seed: int = 0) -> MstResult:
     if g.n:
         g._check_id(seed)  # the empty graph has no node to seed from
     visited = [False] * g.n
-    indptr = g.indptr
+    indptr = g.indptr.tolist()
     leaves = g.leaves.tolist()
     weights = g.weights.tolist()
     heap: list[tuple[int, int, int]] = []
 
     def push_frontier(x: int) -> None:
-        for i in range(int(indptr[x]), int(indptr[x + 1])):
+        for i in range(indptr[x], indptr[x + 1]):
             if not visited[leaves[i]]:
                 heapq.heappush(heap, (weights[i], x, leaves[i]))
 
     picked: list[tuple[int, int, int]] = []
-    total = 0
     scanned = 0
     for start in itertools.chain((seed,), range(g.n)) if g.n else ():
         if visited[start]:
@@ -115,19 +134,10 @@ def prim(g: Graph, seed: int = 0) -> MstResult:
             if visited[b]:
                 continue
             visited[b] = True
-            picked.append((a, b, w) if a < b else (b, a, w))
-            total += w
+            picked.append((a, b, w))
             push_frontier(b)
-    return MstResult(
-        edges=sorted((a, b, g.unscale(w)) for a, b, w in picked),
-        total=g.unscale(total),
-        k_after_node_stage=0,
-        rounds=0,
-        comparisons=scanned,
-        per_round=[],
-        node_arc_touches=0,
-        mode="prim",
-    )
+    a, b, w = np.array(picked, dtype=np.int64).reshape(-1, 3).T
+    return _finish(g, np.minimum(a, b), np.maximum(a, b), w, "prim", scanned)
 
 
 # Largest number of (n - c)-subsets brute_force will enumerate.

@@ -31,10 +31,6 @@ class ParseError(GraphError):
         self.line_no = line_no
 
 
-class UnknownEdge(GraphError):
-    pass
-
-
 class NotASpanningForest(GraphError):
     """A claimed forest failed a structure check; ``problem`` names it."""
 

@@ -30,7 +30,6 @@ from .errors import (
     ParseError,
     SelfLoop,
     TooLarge,
-    UnknownEdge,
 )
 
 Weight = Union[int, Fraction]
@@ -281,22 +280,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int, WeightLike]]) -> Graph:
 def _is_id(r, n: int) -> bool:
     """Whether r is a Python or numpy integer, not a bool, in [0, n)."""
     return not isinstance(r, bool) and isinstance(r, (int, np.integer)) and 0 <= r < n
-
-
-def total_weight(g: Graph, edges: Iterable[tuple[int, int]]) -> Weight:
-    """Sum of weights over the given unordered edge pairs (duplicate-free)."""
-    seen = set()
-    acc = 0
-    for u, v in edges:
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            continue
-        seen.add(key)
-        w = g.weight_between(u, v)
-        if w is None:
-            raise UnknownEdge(f"({u}, {v}) is not an edge of the graph")
-        acc += w
-    return g.unscale(acc)
 
 
 def read_graph(path) -> Graph:

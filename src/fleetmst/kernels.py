@@ -63,12 +63,6 @@ def detect_kernels(f: FleetModel, strict: bool = False) -> KernelReport:
     return KernelReport(kernel_of, k=roots.size, arc_touches=f.beam_leaves.size, strict=strict)
 
 
-def k_value(g: Graph, strict: bool = False) -> int:
-    from .fleet import build_fleet
-
-    return detect_kernels(build_fleet(g), strict=strict).k
-
-
 def koag_seed(g: Graph, f: FleetModel, report: KernelReport) -> Forest:
     """The ``koag_seeded`` node stage: the kernels found the first
     clusters, then the beam loop of ``oag_then_merge`` runs over the

@@ -18,7 +18,7 @@ from fleetmst.baselines import (
 )
 from fleetmst.errors import IdOutOfRange, NotASpanningForest, TooLarge
 from fleetmst.generators import complete, lattice8, random_gnm
-from fleetmst.graph import build_graph
+from fleetmst.graph import build_graph, graph_from_arrays
 
 INT64_MAX = 2**63 - 1
 TRIANGLE = build_graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
@@ -46,6 +46,84 @@ def test_kruskal_simple():
 def test_kruskal_is_deterministic_under_ties():
     g = complete(8, (1, 2), seed=4)
     assert kruskal(g).edges == kruskal(g).edges
+
+
+def reference_kruskal(g):
+    """Kruskal over DisjointSet on the edges stably sorted on weight:
+    (sorted edges, total, number of edges scanned)."""
+    ds = DisjointSet(g.n)
+    picked = []
+    scanned = 0
+    for u, v, w in sorted(g.edge_list(), key=lambda e: e[2]):
+        if len(picked) >= g.n - 1:
+            break
+        scanned += 1
+        if ds.union(u, v):
+            picked.append((u, v, w))
+    edges = [(u, v, g.unscale(w)) for u, v, w in sorted(picked)]
+    return edges, g.unscale(sum(w for *_, w in picked)), scanned
+
+
+def test_kruskal_counts_the_edges_it_scans():
+    # Connected: the scan stops at the third pick, before the two heavy edges.
+    early = build_graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 3, 10), (0, 2, 11)])
+    # Disconnected: n - 1 picks never happen, so every edge is scanned.
+    split = build_graph(5, [(0, 1, 1), (1, 2, 2), (0, 2, 3), (3, 4, 1)])
+    cases = [
+        (early, 3),
+        (split, 4),
+        (build_graph(0, []), 0),
+        (build_graph(1, []), 0),
+        (build_graph(3, []), 0),
+        (lattice8(15, (1, 2, 3), seed=2), None),
+    ]
+    for g, scanned in cases:
+        res = kruskal(g)
+        assert (res.edges, res.total, res.comparisons) == reference_kruskal(g)
+        assert scanned is None or res.comparisons == scanned
+        assert (res.mode, res.k_after_node_stage, res.rounds) == ("kruskal", 0, 0)
+
+
+def test_kruskal_links_a_deep_chain():
+    # Descending weights along a path: Kruskal scans it from the far end
+    # and every link puts one more node on top of the same chain.
+    n = 2**16
+    u = np.arange(n - 1)
+    g = graph_from_arrays(n, u, u + 1, n - 1 - u, 1)
+    res = kruskal(g)
+    assert (res.edges, res.total, res.comparisons) == reference_kruskal(g)
+    ref = prim(g)
+    assert (res.edges, res.total) == (ref.edges, ref.total)
+    assert res.comparisons == n - 1
+
+
+@pytest.mark.parametrize("scale", [10, 100])
+def test_kruskal_weights_at_decimal_scales(scale):
+    step = Fraction(1, scale)
+    # The total is 1 at scale 10 (an int) and 1/10 at scale 100 (a
+    # Fraction); the lattice weighs 1/2, 1, 3/2, 2 and 5/2.
+    tiny = build_graph(3, [(0, 1, 3 * step), (1, 2, 7 * step), (0, 2, 1)])
+    base = lattice8(12, (1, 2, 3, 4, 5), seed=scale)
+    src = base.arc_sources()
+    keep = src < base.leaves
+    mixed = graph_from_arrays(base.n, src[keep], base.leaves[keep], base.weights[keep] * (scale // 2), scale)
+    for g in (tiny, mixed):
+        assert g.scale == scale
+        edges, total, _ = reference_kruskal(g)
+        for res in (kruskal(g), prim(g)):
+            assert (res.edges, res.total) == (edges, total)
+            assert [type(w) for *_, w in res.edges] == [type(w) for *_, w in edges]
+            assert type(res.total) is type(total)
+    assert type(kruskal(tiny).total) is (int if scale == 10 else Fraction)
+    assert {type(w) for *_, w in kruskal(mixed).edges} == {int, Fraction}
+
+
+def test_kruskal_and_prim_totals_are_exact_beyond_int64():
+    big = 2**62
+    g = build_graph(4, [(0, 1, big), (1, 2, big + 1), (2, 3, big + 2), (0, 3, big + 3)])
+    for res in (kruskal(g), prim(g)):
+        assert res.total == 3 * big + 3
+        assert type(res.total) is int
 
 
 def test_prim_matches_kruskal_on_connected_graphs():

@@ -13,7 +13,6 @@ from fleetmst.errors import (
     ParseError,
     SelfLoop,
     TooLarge,
-    UnknownEdge,
 )
 from fleetmst.generators import lattice8
 from fleetmst.graph import (
@@ -25,7 +24,6 @@ from fleetmst.graph import (
     graph_from_arrays,
     read_graph,
     scale_weights,
-    total_weight,
     unscale,
     write_graph,
 )
@@ -147,13 +145,6 @@ def test_weight_between():
     assert g.weight_between(1, 1) is None
     with pytest.raises(IdOutOfRange):
         g.weight_between(0, 5)
-
-
-def test_total_weight_ignores_duplicates():
-    g = build_graph(3, TRIANGLE)
-    assert total_weight(g, [(0, 1), (1, 0), (1, 2)]) == 3
-    with pytest.raises(UnknownEdge):
-        total_weight(g, [(0, 1), (2, 0), (1, 1)])
 
 
 def test_graph_arrays_are_read_only():

@@ -8,7 +8,7 @@ from fleetmst.engine import run
 from fleetmst.fleet import beam_components, build_fleet, half_beams
 from fleetmst.generators import random_gnm
 from fleetmst.graph import build_graph
-from fleetmst.kernels import detect_kernels, k_value, koag_seed
+from fleetmst.kernels import detect_kernels, koag_seed
 from oracles import _components, bench_lattices, equal_path, random_id_path
 
 TWO_TRIANGLES = build_graph(
@@ -93,7 +93,6 @@ def test_two_triangles_have_two_kernels():
     assert rep.kernels == [(0, 1), (3, 4)]
     assert rep.k == 2
     assert rep.arc_touches > 0
-    assert k_value(TWO_TRIANGLES) == 2
 
 
 def test_member_with_towboat_disqualifies_whole_group():
@@ -115,8 +114,8 @@ def test_strict_rule_excludes_beams_with_boats():
     f = build_fleet(g)
     assert detect_kernels(f).kernels == [(0, 1)]
     assert detect_kernels(f, strict=True).kernels == []
-    assert k_value(g) == 1
-    assert k_value(g, strict=True) == 0
+    assert detect_kernels(build_fleet(g)).k == 1
+    assert detect_kernels(build_fleet(g), strict=True).k == 0
 
 
 def test_kernel_count_never_exceeds_beam_components():
