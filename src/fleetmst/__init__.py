@@ -23,9 +23,7 @@ from .engine import (
 )
 from .fleet import (
     FleetModel,
-    Flotilla,
     build_fleet,
-    flotillas,
     trace_chain,
 )
 from .generators import GenSpec, complete, cycle, lattice8, path, random_gnm
@@ -40,7 +38,6 @@ from .kernels import KernelReport, detect_kernels, koag_seed
 __all__ = [
     "DisjointSet",
     "FleetModel",
-    "Flotilla",
     "Forest",
     "GenSpec",
     "Graph",
@@ -52,7 +49,6 @@ __all__ = [
     "complete",
     "cycle",
     "detect_kernels",
-    "flotillas",
     "koag_seed",
     "kruskal",
     "lattice8",

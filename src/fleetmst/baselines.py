@@ -6,7 +6,8 @@ through the graph module, so an engine bug cannot cancel out here.  The
 certificate contracts the claimed forest once, into its own Borůvka
 tree (King 1997) with its own hooking and pointer jumping, not the
 engine's; that one contraction gives the cycle and spanning checks
-their components and the minimality check its path maxima.
+their components and the minimality check its path maxima and the
+heaviest edge it names.
 """
 
 from __future__ import annotations
@@ -239,56 +240,27 @@ def _claim_columns(edges, n: int, scale: int) -> tuple[np.ndarray, np.ndarray, n
     return np.minimum(u, v), np.maximum(u, v), cw
 
 
-def _root(n, roots, a, b, w):
-    """Parent, parent-edge weight and depth of every node of the forest
-    (a, b, w), found breadth first from ``roots`` one level at a time.
-    Roots are their own parents, with weight 0."""
-    ends = np.concatenate((a, b))
-    order = np.argsort(ends, kind="stable")
-    nbr = np.concatenate((b, a))[order]
-    nw = np.concatenate((w, w))[order]
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ends, minlength=n), out=ptr[1:])
-    del ends, order
-    parent = np.arange(n, dtype=a.dtype)
-    pw = np.zeros(n, dtype=w.dtype)
-    depth = np.zeros(n, dtype=a.dtype)
-    frontier, level = roots, 0
-    while frontier.size:
-        lo = ptr[frontier]
-        cnt = ptr[frontier + 1] - lo
-        arcs = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
-        src = np.repeat(frontier, cnt)
-        child = nbr[arcs]
-        down = child != parent[src]
-        child = child[down]
-        parent[child] = src[down]
-        pw[child] = nw[arcs[down]]
-        level += 1
-        depth[child] = level
-        frontier = child
-    return parent, pw, depth
-
-
-def _boruvka_tree(n, a, b, w) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+def _boruvka_tree(n, a, b, w) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], np.ndarray]:
     """King's Borůvka tree of the claimed edges (a, b, w) with positive
-    weights on the nodes 0..n-1, as one (up, top) pair per round, and
-    every node's component id, 0..c-1 for c components.
+    weights on the nodes 0..n-1, as one (up, top, edge) triple per
+    round, and every node's component id, 0..c-1 for c components.
 
     A round's clusters are numbered 0..k-1 (round 0: the nodes).  Each
     cluster with an edge leaving it hooks across its least one in
-    (weight, position) order: ``top`` is that weight, 0 for a cluster
-    that is a whole component, and ``up`` maps the cluster to its
-    cluster of the next round, -1 if it is a whole component (it takes
-    no further part).  An edge left inside a cluster without being
-    picked closed a cycle and is dropped, so the edges picked number
-    n - c exactly when (a, b) is a forest.  Every live cluster merges,
-    so a component of s nodes is one cluster after at most
-    ceil(log2 s) rounds.  For a forest, the heaviest edge on the path
-    between two nodes is the heaviest ``top`` met while climbing from
-    both until they share a cluster (King 1997)."""
+    (weight, position) order: ``top`` is that weight and ``edge`` that
+    edge's position in (a, b, w), 0 and -1 for a cluster that is a
+    whole component, and ``up`` maps the cluster to its cluster of the
+    next round, -1 if it is a whole component (it takes no further
+    part).  An edge left inside a cluster without being picked closed a
+    cycle and is dropped, so the edges picked number n - c exactly when
+    (a, b) is a forest.  Every live cluster merges, so a component of s
+    nodes is one cluster after at most ceil(log2 s) rounds.  For a
+    forest, the heaviest edge on the path between two nodes is the
+    heaviest ``top`` met while climbing from both until they share a
+    cluster (King 1997)."""
     rounds = []
     k = n
+    idx = np.arange(a.size)
     while a.size:
         top = np.full(k, np.iinfo(w.dtype).max, dtype=w.dtype)
         np.minimum.at(top, a, w)
@@ -315,16 +287,16 @@ def _boruvka_tree(n, a, b, w) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.n
         fresh = np.cumsum((hook == ids) & live) - 1
         up = np.where(live, fresh[hook], -1)
         top[~live] = 0
-        rounds.append((up, top))
+        rounds.append((up, top, np.append(idx, -1)[pick]))
         a, b = up[a], up[b]
         keep = np.flatnonzero(a != b)
-        a, b, w = a[keep], b[keep], w[keep]
+        a, b, w, idx = a[keep], b[keep], w[keep], idx[keep]
         k = int(fresh[-1]) + 1
     # Top down: the last round's clusters are components 0..k-1, and a
     # cluster that left with up == -1 takes the next fresh id (its
     # gather through -1 reads a value it then overwrites).
     label = np.arange(k)
-    for up, _ in reversed(rounds):
+    for up, _, _ in reversed(rounds):
         done = np.flatnonzero(up < 0)
         label = label[up]
         label[done] = np.arange(k, k + done.size)
@@ -337,12 +309,26 @@ def _tree_path_max(rounds, a, b) -> np.ndarray:
     of one component, read off the Borůvka tree ``rounds``."""
     best = np.zeros(a.size, dtype=rounds[0][1].dtype)
     live = np.arange(a.size)
-    for up, top in rounds:
+    for up, top, _ in rounds:
         best[live] = np.maximum(best[live], np.maximum(top[a], top[b]))
         a, b = up[a], up[b]
         apart = np.flatnonzero(a != b)
         a, b, live = a[apart], b[apart], live[apart]
     return best
+
+
+def _path_argmax(rounds, x: int, y: int) -> int:
+    """Position of the heaviest forest edge, in (weight, position)
+    order, on the path between x != y, two nodes of one component.  The
+    cluster whose picked edge is largest in that strict order holds one
+    end of the path, so the edge it picked lies on the path."""
+    best = (0, -1)
+    for up, top, edge in rounds:
+        if x == y:
+            break
+        best = max(best, (int(top[x]), int(edge[x])), (int(top[y]), int(edge[y])))
+        x, y = int(up[x]), int(up[y])
+    return best[1]
 
 
 def _certify(g: Graph, edges) -> tuple[Witness | None, np.ndarray]:
@@ -382,23 +368,11 @@ def _certify(g: Graph, edges) -> tuple[Witness | None, np.ndarray]:
     if bad.size == 0:
         return None, cw
 
-    # Name a heaviest edge on the first failing path by walking it in
-    # the rooted forest.
     i = int(bad[0])
-    x, y = int(qa[i]), int(qb[i])
-    roots = np.sort(np.unique(label, return_index=True)[1])  # smallest node of each component
-    parent, pw, depth = _root(n, roots, ca, cb, cw)
-    heavy = None
-    while x != y:
-        if depth[x] < depth[y]:
-            x, y = y, x
-        if heavy is None or pw[x] > heavy[2]:
-            heavy = (x, int(parent[x]), int(pw[x]))
-        x = int(parent[x])
-    hx, hy, hw = heavy
+    e = _path_argmax(rounds, int(qa[i]), int(qb[i]))
     witness = (
         (int(qa[i]), int(qb[i]), g.unscale(int(qw[i]))),
-        (min(hx, hy), max(hx, hy), g.unscale(hw)),
+        (int(ca[e]), int(cb[e]), g.unscale(int(cw[e]))),
     )
     return witness, cw
 
@@ -413,8 +387,10 @@ def minimality_witness(
     path maxima are read off King's (1997) Borůvka tree of the claimed
     forest, O(log n) array rounds whatever the forest's depth.  Returns
     None for a minimum forest, else ((u, v, w), (x, y, w')): the first
-    such non-tree edge, u < v, and a heaviest forest edge on its path,
-    x < y.
+    such non-tree edge, u < v, and the heaviest forest edge on its path
+    in (weight, claim position) order, x < y.  The same tree names that
+    edge in one climb of at most as many rounds, so a failing claim
+    also costs O(log n) array rounds.
 
     Raises NotASpanningForest naming the first failed structure check:
     'unknown edge' (a claim that is not an edge of g with that weight;

@@ -1,4 +1,4 @@
-"""Cutting-graph model: per-node MVC, subjection arcs, beams, flotillas.
+"""Cutting-graph model: per-node MVC, subjection arcs, beams, chains.
 
 For every non-isolated node we record the minimum weight in its star
 subgraph (its MVC) and a single subjection target: the smallest-id leaf
@@ -15,12 +15,11 @@ r subjects strictly to l, since mvc(l) <= w always.
 
 Components are labelled in one place: ``_hook`` (hooking and pointer
 jumping, no round budget) gives the beam components the node stage and
-kernel detection start from, and the flotillas.
+kernel detection start from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,12 +28,6 @@ from .errors import IsolatedNode
 from .graph import Graph
 
 _NO_NODE = -1
-
-
-@dataclass(frozen=True)
-class Flotilla:
-    members: tuple[int, ...]
-    beam_pairs: tuple[tuple[int, int], ...]
 
 
 class FleetModel:
@@ -205,23 +198,3 @@ def beam_components(f: FleetModel) -> np.ndarray:
     member = np.flatnonzero(np.diff(ptr))
     lab[member] = np.minimum(member, partner[ptr[member]])
     return _hook(lab, *half_beams(f))
-
-
-def flotillas(f: FleetModel) -> list[Flotilla]:
-    """Weakly connected components of the cutting graph (subjection +
-    beams), each with its members and beam pairs ascending, ordered by
-    smallest member; isolated nodes belong to none."""
-    a, b = half_beams(f)
-    subject = np.repeat(np.arange(f.n), np.diff(f.rev_indptr))
-    lab = _hook(np.arange(f.n), np.concatenate((subject, a)), np.concatenate((f.rev_children, b)))
-    nodes = np.flatnonzero(~f.isolated)
-    nodes = nodes[np.argsort(lab[nodes], kind="stable")]
-    heads, starts = np.unique(lab[nodes], return_index=True)
-    order = np.argsort(lab[a], kind="stable")
-    pairs = np.stack((a[order], b[order]), axis=1)
-    members = np.split(nodes, starts[1:])
-    beams = np.split(pairs, np.searchsorted(lab[pairs[:, 0]], heads[1:]))
-    return [
-        Flotilla(tuple(m.tolist()), tuple(map(tuple, p.tolist())))
-        for m, p in zip(members[: heads.size], beams)
-    ]

@@ -164,16 +164,6 @@ class Graph:
             self._arc_src.flags.writeable = False
         return self._arc_src
 
-    def weight_between(self, u: int, v: int) -> int | None:
-        """Scaled weight of edge {u, v}, or None if absent."""
-        self._check_id(u)
-        self._check_id(v)
-        lo, hi = int(self.indptr[u]), int(self.indptr[u + 1])
-        pos = lo + int(np.searchsorted(self.leaves[lo:hi], v))
-        if pos < hi and self.leaves[pos] == v:
-            return int(self.weights[pos])
-        return None
-
     def edge_list(self) -> list[tuple[int, int, int]]:
         """All edges as (u, v, scaled weight) with u < v, sorted."""
         src = self.arc_sources()

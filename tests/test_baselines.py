@@ -223,11 +223,12 @@ def test_verify_accepts_a_minimum_forest():
 def reference_verdict(g, edges, minimum):
     """The loop version: union-find structure checks, then minimality by
     comparing the total with a reference MST total ``minimum``."""
+    weight = {(u, v): w for u, v, w in g.edge_list()}
     total = 0
     ds = DisjointSet(g.n)
     acyclic = True
     for u, v, w in edges:
-        gw = g.weight_between(u, v) if 0 <= u < g.n and 0 <= v < g.n else None
+        gw = weight.get((min(u, v), max(u, v)))
         if gw is None or g.unscale(gw) != w:
             return ["unknown edge"]
         total += gw
@@ -399,21 +400,22 @@ def _random_forest(rng, n, weights):
 
 
 def _path_max_by_walk(n, edges):
-    """Heaviest edge on the forest path between every connected pair."""
+    """Weight of the heaviest edge on the forest path between every
+    connected pair, and the positions in ``edges`` of the path's edges."""
     adj = [[] for _ in range(n)]
-    for u, v, w in edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
+    for i, (u, v, w) in enumerate(edges):
+        adj[u].append((v, w, i))
+        adj[v].append((u, w, i))
     heaviest = {}
     for s in range(n):
-        stack, seen = [(s, 0)], {s}
+        stack, seen = [(s, 0, ())], {s}
         while stack:
-            x, best = stack.pop()
-            heaviest[s, x] = best
-            for y, w in adj[x]:
+            x, best, path = stack.pop()
+            heaviest[s, x] = best, path
+            for y, w, i in adj[x]:
                 if y not in seen:
                     seen.add(y)
-                    stack.append((y, max(best, w)))
+                    stack.append((y, max(best, w), path + (i,)))
     return heaviest
 
 
@@ -440,7 +442,14 @@ def test_boruvka_tree_path_max_matches_a_path_walk():
             continue
         qa, qb = (np.array(c, dtype=np.int64) for c in zip(*pairs))
         got = baselines._tree_path_max(rounds, qa, qb)
-        assert got.tolist() == [walk[p] for p in pairs], (trial, edges)
+        assert got.tolist() == [walk[p][0] for p in pairs], (trial, edges)
+        # Under ties the named edge must still lie on the path: the
+        # heaviest one there in (weight, position) order.
+        for p in pairs:
+            best, path = walk[p]
+            e = baselines._path_argmax(rounds, *p)
+            assert e in path and w[e] == best, (trial, edges, p)
+            assert e == max(path, key=lambda i: (w[i], i)), (trial, edges, p)
 
 
 def test_certificate_handles_the_largest_int64_weight():
@@ -471,6 +480,22 @@ def test_minimality_witness_names_both_edges():
     with pytest.raises(NotASpanningForest) as exc:
         minimality_witness(g, tree[:2])
     assert exc.value.problem == "not spanning"
+
+
+def test_minimality_witness_names_the_heavy_edge_of_a_deep_cycle():
+    # A random-id cycle of weight-1 edges and one weight-2 edge, claimed
+    # as the path that keeps the weight-2 edge: the missing edge's path
+    # runs through every node, and the weight-2 edge is its heaviest.
+    n = 2**16
+    ids = np.random.default_rng(7).permutation(n)
+    u, v = ids, np.roll(ids, -1)
+    w = np.ones(n, dtype=np.int64)
+    w[n // 3] = 2
+    g = graph_from_arrays(n, u, v, w, 1)
+    edges = list(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist(), w.tolist()))
+    assert minimality_witness(g, edges[1:]) == (edges[0], edges[n // 3])
+    assert verify_spanning_forest(g, edges[1:]) == ["not minimum"]
+    assert minimality_witness(g, edges[: n // 3] + edges[n // 3 + 1 :]) is None
 
 
 def test_verify_matches_the_reference_on_perturbed_forests(corpus):

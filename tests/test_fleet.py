@@ -2,27 +2,11 @@ import numpy as np
 import pytest
 
 from fleetmst.errors import IdOutOfRange, IsolatedNode
-from fleetmst.fleet import build_fleet, flotillas, half_beams, trace_chain
+from fleetmst.fleet import build_fleet, half_beams, trace_chain
 from fleetmst.graph import build_graph
 
 # Triangle with a unique lightest edge: 0-1 is the mutual minimum.
 TRIANGLE = build_graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
-
-# Two triangles joined by a heavy bridge; each triangle aggregates on
-# its own, the bridge is only picked at the cluster stage.
-TWO_TRIANGLES = build_graph(
-    6,
-    [
-        (0, 1, 1),
-        (0, 2, 2),
-        (1, 2, 3),
-        (3, 4, 1),
-        (3, 5, 2),
-        (4, 5, 3),
-        (2, 5, 9),
-    ],
-)
-
 
 def classify(f, r):
     """The reference reading of r's leaves, edge by edge: J, the boats
@@ -114,25 +98,10 @@ def test_trace_chain_descends_to_beam():
     assert beams(f) == {(2, 3)}
 
 
-def test_flotillas_split_at_the_bridge():
-    f = build_fleet(TWO_TRIANGLES)
-    flos = flotillas(f)
-    assert [flo.members for flo in flos] == [(0, 1, 2), (3, 4, 5)]
-    assert flos[0].beam_pairs == ((0, 1),)
-    assert flos[1].beam_pairs == ((3, 4),)
-
-
-def test_flotillas_skip_isolated_nodes():
-    g = build_graph(3, [(0, 1, 1)])
-    flos = flotillas(build_fleet(g))
-    assert [flo.members for flo in flos] == [(0, 1)]
-
-
 def test_equal_weights_make_everything_one_flotilla():
     g = build_graph(4, [(0, 1, 5), (1, 2, 5), (2, 3, 5), (3, 0, 5)])
     f = build_fleet(g)
     assert beams(f) == {(0, 1), (1, 2), (2, 3), (0, 3)}
-    assert len(flotillas(f)) == 1
 
 
 def test_towboat_and_boat_flags_match_classify(corpus):
@@ -144,37 +113,3 @@ def test_towboat_and_boat_flags_match_classify(corpus):
             assert f.has_boat[r] == bool(boats)
             assert row(f.rev_indptr, f.rev_children, r) == list(boats)
             assert row(f.beam_indptr, f.beam_leaves, r) == list(partners)
-
-
-def test_flotillas_are_the_components_of_subjection_and_beams(corpus):
-    for spec, g in corpus[::3]:
-        f = build_fleet(g)
-        flos = flotillas(f)
-        where = {}
-        for i, flo in enumerate(flos):
-            assert list(flo.members) == sorted(flo.members), spec.token()
-            for v in flo.members:
-                assert v not in where, spec.token()
-                where[v] = i
-        assert sorted(where) == [v for v in range(g.n) if not f.isolated[v]], spec.token()
-        assert [flo.members[0] for flo in flos] == sorted(flo.members[0] for flo in flos), spec.token()
-
-        links = {v: set() for v in where}
-        pairs = beams(f)
-        for r in where:
-            for l in classify(f, r)[2]:  # r subjects strictly to l
-                links[r].add(l)
-                links[l].add(r)
-        for a, b in pairs:
-            links[a].add(b)
-            links[b].add(a)
-        for v, near in links.items():
-            assert all(where[u] == where[v] for u in near), spec.token()
-        for flo in flos:
-            assert flo.beam_pairs == tuple(sorted(p for p in pairs if p[0] in flo.members)), spec.token()
-            seen, stack = {flo.members[0]}, [flo.members[0]]
-            while stack:
-                for u in links[stack.pop()] - seen:
-                    seen.add(u)
-                    stack.append(u)
-            assert seen == set(flo.members), spec.token()

@@ -126,25 +126,14 @@ def test_build_graph_refuses_n_beyond_the_key_range_before_reading_ids():
 @pytest.mark.parametrize("bad", [1.5, 0.5, True, np.bool_(False), "1", None, -1, 3, 2**70])
 def test_graph_lookups_reject_ids_that_are_not_integers_in_range(bad):
     g = build_graph(3, TRIANGLE)
-    for call in (g.degree, lambda r: g.weight_between(r, 1), lambda r: g.weight_between(0, r)):
-        with pytest.raises(IdOutOfRange, match="not an integer in"):
-            call(bad)
+    with pytest.raises(IdOutOfRange, match="not an integer in"):
+        g.degree(bad)
     assert g.degree(np.int32(1)) == 2
 
 
 def test_build_graph_accepts_python_and_numpy_integer_ids():
     edges = [(0, 1, 1), (np.int32(1), np.uint8(2), 2), (np.int64(2), 0, 3)]
     assert build_graph(3, edges) == build_graph(3, TRIANGLE)
-
-
-def test_weight_between():
-    g = build_graph(3, TRIANGLE)
-    assert g.weight_between(0, 1) == 1
-    assert g.weight_between(1, 0) == 1
-    assert g.weight_between(0, 2) == 3
-    assert g.weight_between(1, 1) is None
-    with pytest.raises(IdOutOfRange):
-        g.weight_between(0, 5)
 
 
 def test_graph_arrays_are_read_only():
@@ -202,7 +191,7 @@ def test_read_graph_accepts_comments_and_blanks(tmp_path):
     p.write_text("# header comment\n\n3 2\n0 1 1\n\n1 2 0.5\n")
     g = read_graph(p)
     assert g.m == 2
-    assert g.unscale(g.weight_between(1, 2)) == Fraction(1, 2)
+    assert [(u, v, g.unscale(w)) for u, v, w in g.edge_list()] == [(0, 1, 1), (1, 2, Fraction(1, 2))]
 
 
 def _builds(build, n, u, v, w):
