@@ -15,6 +15,7 @@ from .baselines import (
     verify_spanning_forest,
 )
 from .engine import (
+    EdgeColumns,
     Forest,
     MstResult,
     merge_round,
@@ -37,6 +38,7 @@ from .kernels import KernelReport, detect_kernels, koag_seed
 
 __all__ = [
     "DisjointSet",
+    "EdgeColumns",
     "FleetModel",
     "Forest",
     "GenSpec",

@@ -16,13 +16,14 @@ import functools
 import heapq
 import itertools
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
 
-from .engine import MstResult
+from .engine import EdgeColumns, MstResult
 from .errors import NotASpanningForest, TooLarge
-from .graph import Graph, Weight
+from .graph import Graph, Weight, exact_sum
 
 
 class DisjointSet:
@@ -53,14 +54,13 @@ class DisjointSet:
 
 def _finish(g: Graph, u, v, w, mode: str, comparisons: int) -> MstResult:
     """The picked edges as int64 columns (u, v, scaled w), u < v, made a
-    result: sorted on u * n + v in one argsort, summed exactly, unscaled
-    only off scale 1."""
+    result: sorted on u * n + v in one argsort into an EdgeColumns, and
+    summed exactly."""
     order = np.argsort(u * g.n + v)
     w = w[order]
-    ws = w.tolist() if g.scale == 1 else [g.unscale(x) for x in w.tolist()]
     return MstResult(
-        edges=list(zip(u[order].tolist(), v[order].tolist(), ws)),
-        total=g.unscale(_exact_total(w)),
+        edges=EdgeColumns(u[order], v[order], w, g.scale),
+        total=g.unscale(exact_sum(w)),
         k_after_node_stage=0,
         rounds=0,
         comparisons=comparisons,
@@ -213,30 +213,35 @@ def _claim_columns(edges, n: int, scale: int) -> tuple[np.ndarray, np.ndarray, n
     """The claims as int64 columns: the smaller end, the larger end and
     the weight in units of 1/scale.  Raises NotASpanningForest('unknown
     edge') unless every claim is (u, v, w) with integer ids in range and
-    w an integer at that scale that fits in int64."""
+    w an integer at that scale that fits in int64.  An EdgeColumns at
+    this scale gives its columns as they are; any other claim is read
+    item by item."""
     unknown = NotASpanningForest("unknown edge")
-    if not edges:
+    if isinstance(edges, EdgeColumns) and edges.scale == scale:
+        u, v, cw = edges.u, edges.v, edges.w
+    elif not edges:
         return (np.zeros(0, dtype=np.int64),) * 3
-    try:
-        cols = np.array(edges)
-    except ValueError:  # claims of different lengths
-        raise unknown from None
-    if cols.ndim != 2 or cols.shape[1] != 3:
-        raise unknown
-    fits = np.iinfo(np.int64).max // scale
-    if cols.dtype.kind == "i" and -fits <= cols[:, 2].min() and cols[:, 2].max() <= fits:
-        cols = cols.astype(np.int64, copy=False)
-        ends, cw = cols[:, :2].T, cols[:, 2] * scale
     else:
-        # Fractions, floats, strings, ids or weights beyond int64: look
-        # at each claimed item as given.
-        ends = np.array(([e[0] for e in edges], [e[1] for e in edges]))
-        cw = _scaled_claims([e[2] for e in edges], scale)
-        if ends.dtype.kind not in "iu" or cw is None:
+        try:
+            cols = np.array(edges)
+        except ValueError:  # claims of different lengths
+            raise unknown from None
+        if cols.ndim != 2 or cols.shape[1] != 3:
             raise unknown
-    if ends.min() < 0 or ends.max() >= n:
+        fits = np.iinfo(np.int64).max // scale
+        if cols.dtype.kind == "i" and -fits <= cols[:, 2].min() and cols[:, 2].max() <= fits:
+            cols = cols.astype(np.int64, copy=False)
+            (u, v), cw = cols[:, :2].T, cols[:, 2] * scale
+        else:
+            # Fractions, floats, strings, ids or weights beyond int64: look
+            # at each claimed item as given.
+            u, v = np.array(([e[0] for e in edges], [e[1] for e in edges]))
+            cw = _scaled_claims([e[2] for e in edges], scale)
+            if u.dtype.kind not in "iu" or cw is None:
+                raise unknown
+    if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
         raise unknown
-    u, v = ends.astype(np.int64, copy=False)
+    u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
     return np.minimum(u, v), np.maximum(u, v), cw
 
 
@@ -378,7 +383,7 @@ def _certify(g: Graph, edges) -> tuple[Witness | None, np.ndarray]:
 
 
 def minimality_witness(
-    g: Graph, edges: list[tuple[int, int, Weight]]
+    g: Graph, edges: Sequence[tuple[int, int, Weight]]
 ) -> Witness | None:
     """Certify a claimed spanning forest by the cycle property.
 
@@ -400,16 +405,9 @@ def minimality_witness(
     return _certify(g, edges)[0]
 
 
-def _exact_total(cw: np.ndarray) -> int:
-    """The sum of positive int64 weights, without overflow."""
-    if cw.size == 0 or int(cw.max()) * cw.size < 2**63:
-        return int(cw.sum())
-    return sum(cw.tolist())
-
-
 def verify_spanning_forest(
     g: Graph,
-    edges: list[tuple[int, int, Weight]],
+    edges: Sequence[tuple[int, int, Weight]],
     expected_total: Weight | None = None,
 ) -> list[str]:
     """Check a claimed tree/forest against the graph.
@@ -425,6 +423,6 @@ def verify_spanning_forest(
         return [exc.problem]
     if witness is not None:
         return ["not minimum"]
-    if expected_total is not None and g.unscale(_exact_total(cw)) != expected_total:
+    if expected_total is not None and g.unscale(exact_sum(cw)) != expected_total:
         return ["not minimum"]
     return []

@@ -30,11 +30,15 @@ melioration) only shrinks what later rounds examine; it never changes a
 choice.  With it off, the list keeps every edge and each round rescans
 all 2m arcs.
 
-Picked edges stay arrays until the result is built.  Every node-stage
-pick has the form "node z joins through p with weight mvc[z]", so the
-node stage only writes ``parent[z] = p``; each merge round appends the
-columns of the edges it chooses.  ``Forest.picked`` is derived from the
-two: ``(u, v, scaled w)`` triples, ``u < v``, sorted.
+Picked edges stay arrays, in the result too.  Every node-stage pick has
+the form "node z joins through p with weight mvc[z]", so the node stage
+only writes ``parent[z] = p``; each merge round appends the columns of
+the edges it chooses.  ``materialise`` sorts the two into one set of
+int64 columns, ``u < v``, sorted on (u, v), with scaled weights, and
+sums them exactly.  ``MstResult.edges`` is those columns as an
+``EdgeColumns``, which reads like the list of ``(u, v, w)`` tuples and
+which the verifier reads without building one; ``Forest.picked`` gives
+the same edges as ``(u, v, scaled w)`` tuples.
 
 ``perfbench/tracing.py`` re-drives ``run`` step by step, so these names
 keep their meaning: ``merge_round(g, forest)``; ``Forest.cluster_count``,
@@ -46,7 +50,9 @@ when each round runs.
 
 from __future__ import annotations
 
+import operator
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -54,7 +60,7 @@ import numpy as np
 
 from .errors import InconsistentModel, NoProgress
 from .fleet import FleetModel, _hook, _indptr, _jump, beam_components, build_fleet, half_beams
-from .graph import Graph, Weight, decimal_places, format_weight
+from .graph import Graph, Weight, decimal_places, exact_sum, format_weight, unscale
 
 MODES = ("oag_then_merge", "ooag", "koag_seeded")
 
@@ -67,9 +73,55 @@ class RoundStats:
     elapsed: float
 
 
+class EdgeColumns(Sequence):
+    """The edges of a result as read-only int64 columns: ends ``u < v``,
+    sorted on (u, v), and weights ``w`` in units of 1/``scale``.
+
+    It reads like the list of (u, v, w) tuples it stands for: ``len``,
+    indexing, slicing (which gives a list), ``in`` and iteration yield
+    Python ints, the weights unscaled as ``Graph.unscale`` does (an int
+    at scale 1, an int or Fraction otherwise).  It is equal to a list,
+    tuple or EdgeColumns holding the same edges, and unhashable.  It
+    takes the columns over and makes them read-only.
+    """
+
+    __slots__ = ("u", "v", "w", "scale")
+    __hash__ = None
+
+    def __init__(self, u: np.ndarray, v: np.ndarray, w: np.ndarray, scale: int):
+        for arr in (u, v, w):
+            arr.flags.writeable = False
+        self.u, self.v, self.w, self.scale = u, v, w, scale
+
+    def __len__(self) -> int:
+        return self.u.size
+
+    def __iter__(self):
+        ws = self.w.tolist()
+        if self.scale != 1:
+            ws = [unscale(x, self.scale) for x in ws]
+        return zip(self.u.tolist(), self.v.tolist(), ws)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(EdgeColumns(self.u[i], self.v[i], self.w[i], self.scale))
+        i = operator.index(i)
+        return int(self.u[i]), int(self.v[i]), unscale(self.w[i], self.scale)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EdgeColumns) and other.scale == self.scale:
+            return all(map(np.array_equal, (self.u, self.v, self.w), (other.u, other.v, other.w)))
+        if isinstance(other, (list, tuple, EdgeColumns)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"EdgeColumns({list(self)!r})"
+
+
 @dataclass
 class MstResult:
-    edges: list[tuple[int, int, Weight]]
+    edges: Sequence[tuple[int, int, Weight]]  # an EdgeColumns from run, kruskal and prim
     total: Weight
     k_after_node_stage: int
     rounds: int
@@ -123,8 +175,9 @@ class Forest:
 
     # -- picked edges ----------------------------------------------------
 
-    def _columns(self) -> tuple[list[int], list[int], list[int]]:
-        """Ends u < v and scaled weights of the picked edges, sorted on (u, v)."""
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ends u < v and scaled weights of the picked edges as int64
+        columns, sorted on (u, v)."""
         z = np.flatnonzero(self.parent >= 0)
         p = self.parent[z]
         ends = np.concatenate(
@@ -132,25 +185,21 @@ class Forest:
         )
         w = np.concatenate([self.mvc[z]] + [w for _, w in self.merged])
         order = np.argsort(ends[0] * self.graph.n + ends[1])  # < 2**63: n <= MAX_NODES
-        return ends[0, order].tolist(), ends[1, order].tolist(), w[order].tolist()
+        return ends[0, order], ends[1, order], w[order]
 
     @property
     def picked(self) -> list[tuple[int, int, int]]:
         """Every picked edge as (u, v, scaled w) with u < v, sorted."""
-        return list(zip(*self._columns()))
+        return list(zip(*(c.tolist() for c in self._columns())))
 
-    def materialise(self) -> tuple[list[tuple[int, int, Weight]], Weight]:
-        """The picked edges with public weights, sorted, and their total
-        (summed exactly, as Python ints)."""
-        g = self.graph
+    def materialise(self) -> tuple[EdgeColumns, Weight]:
+        """The picked edges as sorted columns, and their total, summed
+        exactly."""
         u, v, w = self._columns()
-        total = g.unscale(sum(w))
-        if g.scale != 1:
-            w = [g.unscale(x) for x in w]
-        return list(zip(u, v, w)), total
+        return EdgeColumns(u, v, w, self.graph.scale), self.graph.unscale(exact_sum(w))
 
-    def picked_edges(self) -> list[tuple[int, int, Weight]]:
-        """The picked edges with public weights, sorted."""
+    def picked_edges(self) -> EdgeColumns:
+        """The picked edges as sorted columns."""
         return self.materialise()[0]
 
 
@@ -613,11 +662,12 @@ def write_tree(result: MstResult, n: int, path) -> None:
     """Tree output format: 'n k total rounds' then one sorted edge per
     line.  Weights are written exactly, as minimal decimals at the
     smallest scale that makes every edge weight an integer."""
-    weights = {w for _, _, w in result.edges}
+    edges = list(result.edges)  # one walk: an EdgeColumns builds each tuple once
+    weights = {w for _, _, w in edges}
     scale = 10 ** max(map(decimal_places, weights), default=0)
     text = {w: format_weight(int(w * scale), scale) for w in weights}
     with open(path, "w", encoding="utf-8") as fh:
         total = format_weight(int(result.total * scale), scale)
         fh.write(f"{n} {result.k_after_node_stage} {total} {result.rounds}\n")
-        for u, v, w in result.edges:
+        for u, v, w in edges:
             fh.write(f"{u} {v} {text[w]}\n")

@@ -111,6 +111,14 @@ def format_weight(scaled: int, scale: int) -> str:
     return f"{q}.{digits}"
 
 
+def exact_sum(w: np.ndarray) -> int:
+    """The sum of positive int64 weights as a Python int, without
+    overflow: in int64 when max(w) * count < 2**63, else as Python ints."""
+    if w.size == 0 or int(w.max()) * w.size < 2**63:
+        return int(w.sum())
+    return sum(w.tolist())
+
+
 def unscale(scaled: int, scale: int) -> Weight:
     """Scaled integer back to an exact public weight value."""
     if scale == 1:

@@ -13,7 +13,7 @@ from collections import deque
 
 import numpy as np
 
-from fleetmst.engine import Forest, _check_model, _forest, _forward_arcs
+from fleetmst.engine import EdgeColumns, Forest, _check_model, _forest, _forward_arcs
 from fleetmst.errors import DuplicateEdge, IdOutOfRange, NonPositiveWeight, SelfLoop
 from fleetmst.fleet import FleetModel, half_beams
 from fleetmst.generators import lattice8, random_gnm
@@ -207,3 +207,10 @@ def bench_lattices():
 def gnm_graphs():
     qs = [(1,), (1, 2), (1, 2, 3), tuple(range(1, 11)), tuple(range(1, 1001))]
     return [random_gnm(200 + 150 * i, 600 + 700 * i, qs[i % 5], seed=i) for i in range(20)]
+
+
+def columns_of(edges, scale: int) -> EdgeColumns:
+    """Public (u, v, w) edges, as given, as an EdgeColumns at ``scale``."""
+    u, v, w = zip(*edges) if edges else ((), (), ())
+    scaled = [int(x * scale) for x in w]
+    return EdgeColumns(*(np.array(c, dtype=np.int64) for c in (u, v, scaled)), scale)

@@ -16,9 +16,11 @@ from fleetmst.baselines import (
     prim,
     verify_spanning_forest,
 )
+from fleetmst.engine import EdgeColumns
 from fleetmst.errors import IdOutOfRange, NotASpanningForest, TooLarge
 from fleetmst.generators import complete, lattice8, random_gnm
 from fleetmst.graph import build_graph, graph_from_arrays
+from oracles import columns_of
 
 INT64_MAX = 2**63 - 1
 TRIANGLE = build_graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
@@ -369,6 +371,70 @@ def test_verify_expected_total_beyond_int64():
     assert verify_spanning_forest(g, tree, 3 * big + 2) == ["not minimum"]
     # What an int64 sum would wrap to.
     assert verify_spanning_forest(g, tree, 3 * big + 3 - 2**64) == ["not minimum"]
+
+
+def _verdicts(g, claim, total):
+    """What the verifier says of a claim: its problems, its problems
+    against ``total``, and its witness or the structure check it fails."""
+    try:
+        witness = minimality_witness(g, claim)
+    except NotASpanningForest as exc:
+        witness = exc.problem
+    return verify_spanning_forest(g, claim), verify_spanning_forest(g, claim, total), witness
+
+
+def test_verifier_reads_columns_as_their_list(monkeypatch):
+    """Columns at the graph's scale are read as arrays, at another scale
+    item by item, with the verdicts and witnesses of their list: valid,
+    not minimum, cycle, not spanning and unknown claims."""
+    cases = []  # (graph, columns, their list)
+    graphs = (
+        lattice8(9, (1, 2, 3), seed=4),
+        random_gnm(30, 90, (1, 2), seed=8),
+        graph_from_arrays(4, [0, 1, 2, 0, 1], [1, 2, 3, 2, 3], [3, 12, 5, 7, 4], 10),
+    )
+    for g in graphs:
+        rng = random.Random(g.n)
+        tree = kruskal(g).edges
+        for res in (kruskal(g), prim(g)):
+            assert isinstance(res.edges, EdgeColumns) and res.edges.scale == g.scale
+        cases.append((g, tree, list(tree)))
+        ends = {(u, v) for u, v, _ in tree}
+        others = [(u, v, g.unscale(w)) for u, v, w in g.edge_list() if (u, v) not in ends]
+        claims = []
+        for _ in range(8):
+            i = rng.randrange(len(tree))
+            rest = tree[:i] + tree[i + 1 :]
+            u, v, w = tree[i]
+            claims += [rest, rest + [rng.choice(others)], list(tree) + [rng.choice(others)]]
+            claims.append(rest + [(u, v, w + 1)])
+        # Ids out of range: (a - 1, b + n) has the key a * n + b of a
+        # graph edge (a, b) with its weight, so only the range check
+        # stops it; and an id below 0.
+        a, b, w = max(e for e in g.edge_list() if e[0] >= 1)
+        claims += [[(a - 1, b + g.n, g.unscale(w))], [(a, -1, g.unscale(w))]]
+        for claim in claims:
+            cases.append((g, columns_of(claim, g.scale), claim))
+            cases.append((g, columns_of(claim, 10 * g.scale), claim))
+
+    totals = [sum(w for *_, w in claim) for _, _, claim in cases]
+    want = [_verdicts(g, claim, t) for (g, _, claim), t in zip(cases, totals)]
+    assert {v[0][0] if v[0] else "ok" for v in want} == {
+        "ok", "not minimum", "cycle", "not spanning", "unknown edge"
+    }
+
+    def unread(self, *args):
+        raise AssertionError("columns at the graph's scale are read as arrays")
+
+    monkeypatch.setattr(EdgeColumns, "__iter__", unread)
+    monkeypatch.setattr(EdgeColumns, "__getitem__", unread)
+    for (g, cols, claim), t, verdicts in zip(cases, totals, want):
+        if cols.scale == g.scale:
+            assert _verdicts(g, cols, t) == verdicts, claim
+    monkeypatch.undo()
+    for (g, cols, claim), t, verdicts in zip(cases, totals, want):
+        assert list(cols) == claim
+        assert _verdicts(g, cols, t) == verdicts, claim
 
 
 def test_verify_shares_no_code_with_the_engine(monkeypatch):

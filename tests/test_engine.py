@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from fleetmst import engine
 from fleetmst.baselines import kruskal, verify_spanning_forest
 from fleetmst.engine import (
+    EdgeColumns,
     inheritance_stage,
     merge_round,
     node_stage,
@@ -18,7 +20,7 @@ from fleetmst.fleet import build_fleet
 from fleetmst.generators import lattice8, random_gnm
 from fleetmst.graph import build_graph, graph_from_arrays
 from fleetmst.kernels import detect_kernels, koag_seed
-from oracles import bench_lattices, sequential_stage
+from oracles import bench_lattices, columns_of, sequential_stage
 
 TWO_TRIANGLES = build_graph(
     6,
@@ -225,14 +227,20 @@ def test_edges_are_sorted_pairs_in_every_mode():
             assert all(a < b for a, b in zip(pairs, pairs[1:]))
 
 
-@pytest.mark.parametrize("scale", [10, 100])
-def test_decimal_results_match_kruskal_in_value_and_type(scale):
-    # Distinct weights, so the minimum forest and its edge list are unique.
+def distinct_gnm(scale: int):
+    """A G(n, m) graph at ``scale`` with distinct weights, so the minimum
+    forest and its edge list are unique: 1, 2, ..., 120 at scale 1, and
+    0.1, 0.2, ..., 12 at scales 10 and 100."""
     base = random_gnm(40, 120, (1,), seed=scale)
     src = base.arc_sources()
     keep = src < base.leaves
-    w = ((np.arange(base.m) * 37) % base.m + 1) * (scale // 10)  # 0.1, 0.2, ..., 12
-    g = graph_from_arrays(base.n, src[keep], base.leaves[keep], w, scale)
+    w = ((np.arange(base.m) * 37) % base.m + 1) * max(scale // 10, 1)
+    return graph_from_arrays(base.n, src[keep], base.leaves[keep], w, scale)
+
+
+@pytest.mark.parametrize("scale", [10, 100])
+def test_decimal_results_match_kruskal_in_value_and_type(scale):
+    g = distinct_gnm(scale)
     ref = kruskal(g)
     for mode in engine.MODES:
         res = run(g, mode=mode)
@@ -244,9 +252,72 @@ def test_decimal_results_match_kruskal_in_value_and_type(scale):
 
 def test_total_is_exact_beyond_int64():
     g = build_graph(4, [(0, 1, 2**62), (1, 2, 2**62), (2, 3, 2**62)])
-    for mode in engine.MODES:
+    for mode in engine.MODES + ("boruvka",):
         res = run(g, mode=mode)
-        assert res.total == kruskal(g).total == 3 * 2**62 > 2**63
+        assert res.total == kruskal(g).total == 3 * 2**62 > 2**63, mode
+        assert type(res.total) is int, mode
+
+
+@pytest.mark.parametrize("scale", [1, 10, 100])
+def test_edge_columns_read_like_the_list(scale):
+    g = distinct_gnm(scale)
+    view = run(g, mode="ooag").edges
+    assert isinstance(view, EdgeColumns) and view.scale == scale
+    edges = list(view)
+    n = len(edges)
+    assert len(view) == n == g.n - 1
+    for i in (0, 1, n - 1, -1, -n, np.int64(2), True):
+        assert view[i] == edges[i], i
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    with pytest.raises(TypeError):
+        view[1.0]
+    for s in (slice(None), slice(1, 4), slice(None, None, -2), slice(5, 2), slice(-3, None)):
+        assert type(view[s]) is list and view[s] == edges[s], s
+    u, v, w = edges[3]
+    assert edges[3] in view and (u, v, w + 1) not in view and "edge" not in view
+
+    # Python ints, weights unscaled as Graph.unscale does.
+    for (u, v, w), su, sv, sw in zip(view, view.u, view.v, view.w):
+        assert (type(u), type(v)) == (int, int) and (u, v) == (su, sv)
+        assert w == g.unscale(int(sw)) and type(w) is type(g.unscale(int(sw)))
+    kinds = {type(w) for *_, w in view}
+    assert kinds == ({int} if scale == 1 else {int, Fraction})
+
+    # Equal to the same edges as a list, a tuple or columns, from either side.
+    copy = EdgeColumns(view.u.copy(), view.v.copy(), view.w.copy(), scale)
+    rescaled = EdgeColumns(view.u.copy(), view.v.copy(), view.w * 10, scale * 10)
+    for other in (edges, tuple(edges), copy, rescaled, columns_of(edges, scale)):
+        assert view == other and other == view, type(other)
+        assert not view != other and not other != view, type(other)
+    u, v, w = edges[-1]
+    heavier = edges[:-1] + [(u, v, w + 1)]
+    for other in (heavier, tuple(heavier), edges[:-1], [], columns_of(heavier, scale), list(reversed(edges))):
+        assert view != other and other != view, other
+        assert not view == other and not other == view, other
+    assert view != "edges" and view != None  # noqa: E711
+    assert columns_of([], scale) == [] == columns_of([], 1)
+
+    with pytest.raises(TypeError):
+        hash(view)
+    for col in (view.u, view.v, view.w):
+        assert col.dtype == np.int64 and not col.flags.writeable
+        with pytest.raises(ValueError):
+            col[0] = 0
+
+
+@pytest.mark.parametrize("scale", [1, 10, 100])
+def test_write_tree_is_the_same_for_columns_and_their_list(tmp_path, monkeypatch, scale):
+    g = distinct_gnm(scale)
+    res = run(g, mode="ooag")
+    walks = []
+    walk = EdgeColumns.__iter__
+    monkeypatch.setattr(EdgeColumns, "__iter__", lambda self: walks.append(1) or walk(self))
+    write_tree(res, g.n, tmp_path / "columns.txt")
+    assert walks == [1]
+    write_tree(dataclasses.replace(res, edges=list(res.edges)), g.n, tmp_path / "list.txt")
+    assert (tmp_path / "columns.txt").read_bytes() == (tmp_path / "list.txt").read_bytes()
 
 
 def test_first_edge_list_holds_only_crossing_edges():
