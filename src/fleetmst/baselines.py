@@ -83,7 +83,7 @@ def kruskal(g: Graph) -> MstResult:
     are then gathered, sorted and summed in arrays.  ``comparisons`` is
     the number of edges scanned."""
     src = g.arc_sources()
-    half = np.flatnonzero(src < g.leaves)
+    half = g.half_arcs()
     order = half[np.argsort(g.weights[half], kind="stable")]
     parent = list(range(g.n))
     picks: list[int] = []
@@ -219,7 +219,7 @@ def _claim_columns(edges, n: int, scale: int) -> tuple[np.ndarray, np.ndarray, n
     unknown = NotASpanningForest("unknown edge")
     if isinstance(edges, EdgeColumns) and edges.scale == scale:
         u, v, cw = edges.u, edges.v, edges.w
-    elif not edges:
+    elif len(edges) == 0:
         return (np.zeros(0, dtype=np.int64),) * 3
     else:
         try:
@@ -340,9 +340,8 @@ def _certify(g: Graph, edges) -> tuple[Witness | None, np.ndarray]:
     """``minimality_witness``, plus the claimed weights scaled to int64."""
     n = g.n
     ca, cb, cw = _claim_columns(edges, n, g.scale)
-    src = g.arc_sources()
-    half = np.flatnonzero(src < g.leaves)
-    ga, gb, gw = src[half], g.leaves[half], g.weights[half]
+    half = g.half_arcs()
+    ga, gb, gw = g.arc_sources()[half], g.leaves[half], g.weights[half]
     # Arcs are sorted by (source, leaf), so the keys of the a < b half are too;
     # they fit in int64 because graph_from_arrays keeps n <= MAX_NODES.
     keys = ga * n + gb

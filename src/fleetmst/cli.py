@@ -1,7 +1,8 @@
 """Command-line front end: gen, build, verify, bench, kvalue.
 
-Exit codes: 0 ok, 1 verification failure, 2 input error.  A graph too
-large to allocate is an input error too.
+Exit codes: 0 ok, 1 verification failure, 2 input error.  ``main``
+turns every GraphError, OSError and MemoryError into exit 2, so a graph
+too large to allocate is an input error too.
 """
 
 from __future__ import annotations
@@ -94,12 +95,8 @@ def _spec(family: str, p: int, n: int, m: int, q, seed: int) -> generators.GenSp
 
 def cmd_gen(args) -> int:
     spec = _spec(args.family, args.p, args.n, args.m, args.q, args.seed)
-    try:
-        g = spec.build()
-        write_graph(g, args.out, comments=[spec.token()])
-    except (GraphError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = spec.build()
+    write_graph(g, args.out, comments=[spec.token()])
     print(f"wrote {args.out}: n={g.n} m={g.m}")
     return 0
 
@@ -136,19 +133,11 @@ def _write_stats(result, g, path) -> None:
 
 
 def cmd_build(args) -> int:
-    try:
-        g = read_graph(args.input)
-    except (GraphError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = read_graph(args.input)
     result = _run_algo(g, args.algo)
-    try:
-        engine.write_tree(result, g.n, args.out)
-        if args.stats:
-            _write_stats(result, g, args.stats)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    engine.write_tree(result, g.n, args.out)
+    if args.stats:
+        _write_stats(result, g, args.stats)
     print(f"{args.algo}: {len(result.edges)} edges, total {_weight_text(g, result.total)}")
     return 0
 
@@ -157,10 +146,10 @@ def _read_tree(path, n=None):
     """The edges of a tree file: the header line 'n k total rounds', then
     one 'u v w' line per edge; blank and '#' lines are skipped.  A file
     without the header is a ParseError, and so is a header whose n is
-    not the given n."""
+    not the given n.  Bytes that are not UTF-8 read as U+FFFD."""
     edges = []
     header_n = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -197,12 +186,8 @@ def _tree_header_n(line_no: int, line: str) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        g = read_graph(args.input)
-        edges = _read_tree(args.tree, g.n)
-    except (GraphError, OSError, MemoryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = read_graph(args.input)
+    edges = _read_tree(args.tree, g.n)
     try:
         witness = baselines.minimality_witness(g, edges)
     except NotASpanningForest as exc:
@@ -220,11 +205,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kvalue(args) -> int:
-    try:
-        g = read_graph(args.input)
-    except (GraphError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = read_graph(args.input)
     report = kernels.detect_kernels(build_fleet(g), strict=args.strict)
     print(f"k={report.k}")
     hist = np.bincount(report.sizes)
@@ -273,11 +254,7 @@ def cmd_bench(args) -> int:
     failed = 0
     for size in args.grid:
         spec = _spec(args.family, size, size, args.m or 2 * size, args.q, args.seed)
-        try:
-            g = spec.build()
-        except (GraphError, MemoryError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        g = spec.build()
         for algo in args.algos:
             try:
                 rows.append(_bench_row(spec, algo, g, args.repeats))
@@ -287,14 +264,10 @@ def cmd_bench(args) -> int:
                 row.update(spec=spec.token(), algo=algo, total_weight="FAILED")
                 rows.append(row)
                 failed += 1
-    try:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
-            writer.writeheader()
-            writer.writerows(rows)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
+        writer.writeheader()
+        writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.csv}")
     if failed:
         print(f"error: {failed} of {len(rows)} rows failed", file=sys.stderr)
@@ -357,7 +330,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (GraphError, OSError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

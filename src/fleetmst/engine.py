@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import InconsistentModel, NoProgress
 from .fleet import FleetModel, _hook, _indptr, _jump, beam_components, build_fleet, half_beams
-from .graph import Graph, Weight, decimal_places, exact_sum, format_weight, unscale
+from .graph import Graph, Weight, exact_sum, format_weight, unscale, write_edges
 
 MODES = ("oag_then_merge", "ooag", "koag_seeded")
 
@@ -121,7 +121,7 @@ class EdgeColumns(Sequence):
 
 @dataclass
 class MstResult:
-    edges: Sequence[tuple[int, int, Weight]]  # an EdgeColumns from run, kruskal and prim
+    edges: Sequence[tuple[int, int, Weight]]  # an EdgeColumns from run, kruskal and prim; write_tree needs one
     total: Weight
     k_after_node_stage: int
     rounds: int
@@ -660,14 +660,10 @@ def run(g: Graph, mode: str = "ooag", melioration: bool = True) -> MstResult:
 
 def write_tree(result: MstResult, n: int, path) -> None:
     """Tree output format: 'n k total rounds' then one sorted edge per
-    line.  Weights are written exactly, as minimal decimals at the
-    smallest scale that makes every edge weight an integer."""
-    edges = list(result.edges)  # one walk: an EdgeColumns builds each tuple once
-    weights = {w for _, _, w in edges}
-    scale = 10 ** max(map(decimal_places, weights), default=0)
-    text = {w: format_weight(int(w * scale), scale) for w in weights}
+    line.  ``result.edges`` must be an EdgeColumns; weights and total
+    are written exactly, as minimal decimals."""
+    edges = result.edges
     with open(path, "w", encoding="utf-8") as fh:
-        total = format_weight(int(result.total * scale), scale)
+        total = format_weight(int(result.total * edges.scale), edges.scale)
         fh.write(f"{n} {result.k_after_node_stage} {total} {result.rounds}\n")
-        for u, v, w in edges:
-            fh.write(f"{u} {v} {text[w]}\n")
+        write_edges(fh, edges.u, edges.v, edges.w, edges.scale)

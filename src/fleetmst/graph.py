@@ -160,10 +160,6 @@ class Graph:
         """Total arcs, i.e. sum of leaf-set sizes (= 2m)."""
         return int(self.leaves.size)
 
-    def degree(self, r: int) -> int:
-        self._check_id(r)
-        return int(self.indptr[r + 1] - self.indptr[r])
-
     def arc_sources(self) -> np.ndarray:
         """Per-arc root id, aligned with .leaves / .weights (cached)."""
         if self._arc_src is None:
@@ -172,14 +168,16 @@ class Graph:
             self._arc_src.flags.writeable = False
         return self._arc_src
 
+    def half_arcs(self) -> np.ndarray:
+        """Indices of the arcs (u, v) with u < v: every edge once, sorted
+        on (u, v) (not cached)."""
+        return np.flatnonzero(self.arc_sources() < self.leaves)
+
     def edge_list(self) -> list[tuple[int, int, int]]:
         """All edges as (u, v, scaled weight) with u < v, sorted."""
-        src = self.arc_sources()
-        keep = src < self.leaves
-        u = src[keep]
-        v = self.leaves[keep]
-        w = self.weights[keep]
-        return list(zip(u.tolist(), v.tolist(), w.tolist()))
+        half = self.half_arcs()
+        cols = (self.arc_sources()[half], self.leaves[half], self.weights[half])
+        return list(zip(*(c.tolist() for c in cols)))
 
     def unscale(self, scaled: int) -> Weight:
         return unscale(scaled, self.scale)
@@ -281,13 +279,13 @@ def _is_id(r, n: int) -> bool:
 
 
 def read_graph(path) -> Graph:
-    """Parse the edge-list text format (see write_graph)."""
+    """Parse the edge-list text format (see write_graph); non-UTF-8 bytes read as U+FFFD."""
     n = m = None
     us: list[int] = []
     vs: list[int] = []
     ws: list[Fraction] = []
     seen: set[tuple[int, int]] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -302,6 +300,8 @@ def read_graph(path) -> Graph:
                     raise ParseError(line_no, f"bad header {line!r}") from None
                 if n < 0 or m < 0:
                     raise ParseError(line_no, "negative n or m")
+                if n > MAX_NODES:
+                    raise TooLarge(f"{n} nodes exceed the limit of {MAX_NODES}")
                 continue
             if len(parts) != 3:
                 raise ParseError(line_no, f"expected 'u v w', got {line!r}")
@@ -350,10 +350,14 @@ def write_graph(g: Graph, path, comments: Sequence[str] = ()) -> None:
         for c in comments:
             fh.write(f"# {c}\n")
         fh.write(f"{g.n} {g.m}\n")
-        out = [
-            f"{u} {v} {format_weight(w, g.scale)}"
-            for u, v, w in g.edge_list()
-        ]
-        if out:
-            fh.write("\n".join(out))
-            fh.write("\n")
+        half = g.half_arcs()
+        write_edges(fh, g.arc_sources()[half], g.leaves[half], g.weights[half], g.scale)
+
+
+def write_edges(fh, u: np.ndarray, v: np.ndarray, w: np.ndarray, scale: int) -> None:
+    """Write one 'u v w' line per edge of the columns, each weight (in
+    units of 1/scale) as its minimal decimal; each distinct weight is
+    formatted once."""
+    ws = w.tolist()
+    text = {x: format_weight(x, scale) for x in set(ws)}
+    fh.writelines(f"{a} {b} {text[x]}\n" for a, b, x in zip(u.tolist(), v.tolist(), ws))

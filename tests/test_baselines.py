@@ -437,6 +437,33 @@ def test_verifier_reads_columns_as_their_list(monkeypatch):
         assert _verdicts(g, cols, t) == verdicts, claim
 
 
+def test_verifier_reads_an_int64_array_claim_as_its_list():
+    """A (k, 3) int64 array claim gets the verdicts and witness of its
+    list: valid, not minimum and unknown-edge claims among others."""
+    seen = set()
+    for g in (lattice8(9, (1, 2, 3), seed=4), random_gnm(30, 90, (1, 2), seed=8)):
+        rng = random.Random(g.n)
+        tree = list(kruskal(g).edges)
+        in_tree = set(tree)
+        others = [e for e in g.edge_list() if e not in in_tree]
+        claims = [tree]
+        for _ in range(8):
+            i = rng.randrange(len(tree))
+            u, v, w = tree[i]
+            rest = tree[:i] + tree[i + 1 :]
+            ds = DisjointSet(g.n)
+            for a, b, _ in rest:
+                ds.union(a, b)
+            heavier = [e for e in others if ds.find(e[0]) != ds.find(e[1]) and e[2] > w]
+            claims += [rest + [rng.choice(others)], rest + heavier[:1], rest + [(u, v, w + 1)]]
+        for claim in claims:
+            total = sum(w for *_, w in claim)
+            want = _verdicts(g, claim, total)
+            assert _verdicts(g, np.array(claim, dtype=np.int64), total) == want, claim
+            seen.add(want[0][0] if want[0] else "ok")
+    assert {"ok", "not minimum", "unknown edge"} <= seen
+
+
 def test_verify_shares_no_code_with_the_engine(monkeypatch):
     g = lattice8(12, (1, 2, 3), seed=5)
     tree = kruskal(g).edges

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fleetmst import baselines, engine
+from fleetmst import baselines, engine, kernels
 from fleetmst.cli import CSV_HEADER, _read_tree, main
 from fleetmst.errors import ParseError
 from fleetmst.graph import read_graph
@@ -325,11 +325,23 @@ def test_bench_wall_time_covers_the_phases(tmp_path):
         ["build", "{tmp}/huge.txt", "--out", "{tmp}/t.txt"],
         ["verify", "{tmp}/huge.txt", "{tmp}/g3.txt"],
         ["kvalue", "{tmp}/huge.txt"],
+        # n and an id beyond int64: refused at the header.
+        ["build", "{tmp}/huge_ids.txt", "--out", "{tmp}/t.txt"],
+        ["verify", "{tmp}/huge_ids.txt", "{tmp}/g3.txt"],
+        ["kvalue", "{tmp}/huge_ids.txt"],
+        # Bytes that are not UTF-8, in a graph and in a tree file.
+        ["build", "{tmp}/binary.txt", "--out", "{tmp}/t.txt"],
+        ["verify", "{tmp}/binary.txt", "{tmp}/g3.txt"],
+        ["kvalue", "{tmp}/binary.txt"],
+        ["verify", "{tmp}/g3.txt", "{tmp}/binary_tree.txt"],
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     main(["gen", "lattice", "--p", "3", "--out", str(tmp_path / "g3.txt")])
     (tmp_path / "huge.txt").write_text("99999999999999 0\n")
+    (tmp_path / "huge_ids.txt").write_text("99999999999999999999999 1\n99999999999999999999 0 1\n")
+    (tmp_path / "binary.txt").write_bytes(b"2 1\n0 1 \xff\n")
+    (tmp_path / "binary_tree.txt").write_bytes(b"9 0 1 0\n0 1 \xff\n")
     capsys.readouterr()
     try:
         rc = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
@@ -338,6 +350,23 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [(engine, "run", ["build", "{g}", "--out", "{tmp}/t.txt"]), (kernels, "detect_kernels", ["kvalue", "{g}"])],
+    ids=["build", "kvalue"],
+)
+def test_run_phase_memory_error_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, module, name, argv):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr(module, name, out_of_memory)
+    gpath = tmp_path / "g.txt"
+    main(["gen", "gnm", "--n", "10", "--m", "20", "--out", str(gpath)])
+    capsys.readouterr()
+    assert main([a.replace("{g}", str(gpath)).replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: cannot allocate"]
 
 
 def test_kvalue_output(tmp_path, capsys):

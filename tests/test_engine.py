@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -18,7 +17,7 @@ from fleetmst.engine import (
 from fleetmst.errors import InconsistentModel
 from fleetmst.fleet import build_fleet
 from fleetmst.generators import lattice8, random_gnm
-from fleetmst.graph import build_graph, graph_from_arrays
+from fleetmst.graph import build_graph, decimal_places, format_weight, graph_from_arrays
 from fleetmst.kernels import detect_kernels, koag_seed
 from oracles import bench_lattices, columns_of, sequential_stage
 
@@ -307,17 +306,36 @@ def test_edge_columns_read_like_the_list(scale):
             col[0] = 0
 
 
+def minimal_scale_tree_text(res, n: int) -> str:
+    """A tree file formatted from the result's tuples: every weight and
+    the total at the smallest scale that makes every edge weight an
+    integer."""
+    edges = list(res.edges)
+    scale = 10 ** max((decimal_places(w) for *_, w in edges), default=0)
+
+    def text(w):
+        return format_weight(int(w * scale), scale)
+
+    lines = [f"{n} {res.k_after_node_stage} {text(res.total)} {res.rounds}"]
+    lines += [f"{u} {v} {text(w)}" for u, v, w in edges]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("scale", [1, 10, 100])
-def test_write_tree_is_the_same_for_columns_and_their_list(tmp_path, monkeypatch, scale):
+def test_write_tree_matches_the_minimal_scale_text(tmp_path, monkeypatch, scale):
+    # At scale 100 every weight is a multiple of 0.1, so the columns'
+    # scale is not the minimal one.
     g = distinct_gnm(scale)
     res = run(g, mode="ooag")
-    walks = []
-    walk = EdgeColumns.__iter__
-    monkeypatch.setattr(EdgeColumns, "__iter__", lambda self: walks.append(1) or walk(self))
-    write_tree(res, g.n, tmp_path / "columns.txt")
-    assert walks == [1]
-    write_tree(dataclasses.replace(res, edges=list(res.edges)), g.n, tmp_path / "list.txt")
-    assert (tmp_path / "columns.txt").read_bytes() == (tmp_path / "list.txt").read_bytes()
+    want = minimal_scale_tree_text(res, g.n)
+
+    def unread(self, *args):
+        raise AssertionError("write_tree reads the columns as arrays")
+
+    monkeypatch.setattr(EdgeColumns, "__iter__", unread)
+    monkeypatch.setattr(EdgeColumns, "__getitem__", unread)
+    write_tree(res, g.n, tmp_path / "tree.txt")
+    assert (tmp_path / "tree.txt").read_text() == want
 
 
 def test_first_edge_list_holds_only_crossing_edges():

@@ -14,6 +14,7 @@ from fleetmst.errors import (
     SelfLoop,
     TooLarge,
 )
+from fleetmst.fleet import build_fleet, trace_chain
 from fleetmst.generators import lattice8
 from fleetmst.graph import (
     MAX_NODES,
@@ -123,12 +124,22 @@ def test_build_graph_refuses_n_beyond_the_key_range_before_reading_ids():
         build_graph(2**64, [(2**63, 0, 1)])
 
 
+def test_read_graph_refuses_n_beyond_the_key_range_at_the_header(tmp_path):
+    # Parsed on, the id beyond int64 would overflow the id arrays.
+    path = tmp_path / "g.txt"
+    path.write_text(f"{MAX_NODES + 1} 1\n{2**64} 0 1\n")
+    with pytest.raises(TooLarge, match="exceed the limit"):
+        read_graph(path)
+
+
 @pytest.mark.parametrize("bad", [1.5, 0.5, True, np.bool_(False), "1", None, -1, 3, 2**70])
 def test_graph_lookups_reject_ids_that_are_not_integers_in_range(bad):
-    g = build_graph(3, TRIANGLE)
-    with pytest.raises(IdOutOfRange, match="not an integer in"):
-        g.degree(bad)
-    assert g.degree(np.int32(1)) == 2
+    # The fleet's node lookups check ids through Graph._check_id.
+    f = build_fleet(build_graph(3, TRIANGLE))
+    for lookup in (f.in_beam, lambda r: trace_chain(f, r)):
+        with pytest.raises(IdOutOfRange, match="not an integer in"):
+            lookup(bad)
+    assert f.in_beam(np.int32(1)) and trace_chain(f, np.int32(2)) == [2, 1]
 
 
 def test_build_graph_accepts_python_and_numpy_integer_ids():
