@@ -11,13 +11,14 @@ import argparse
 import csv
 import sys
 import time
+from itertools import starmap
 
 import numpy as np
 
 from . import baselines, engine, generators, kernels
-from .errors import GraphError, InvalidWeight, NotASpanningForest, ParseError
+from .errors import GraphError, NotASpanningForest, ParseError
 from .fleet import build_fleet
-from .graph import _as_fraction, format_weight, read_graph, write_graph
+from .graph import decimal_places, format_weight, parse_edge, read_graph, read_header, write_graph
 
 CSV_HEADER = [
     "spec",
@@ -109,9 +110,10 @@ def _run_algo(g, algo: str):
     return engine.run(g, mode=algo)
 
 
-def _weight_text(g, w) -> str:
-    """An exact weight of g as a minimal decimal, at g's scale."""
-    return format_weight(int(w * g.scale), g.scale)
+def _weight_text(w) -> str:
+    """An exact decimal weight as its minimal decimal."""
+    scale = 10 ** decimal_places(w)
+    return format_weight(int(w * scale), scale)
 
 
 def _write_stats(result, g, path) -> None:
@@ -122,7 +124,7 @@ def _write_stats(result, g, path) -> None:
         fh.write(f"k={result.k_after_node_stage}\n")
         fh.write(f"rounds={result.rounds}\n")
         fh.write(f"comparisons_A={result.comparisons}\n")
-        fh.write(f"total_weight={_weight_text(g, result.total)}\n")
+        fh.write(f"total_weight={_weight_text(result.total)}\n")
         for name, sec in result.phase_seconds.items():
             fh.write(f"{name}_ms={sec * 1e3:.3f}\n")
         for i, rs in enumerate(result.per_round):
@@ -138,70 +140,45 @@ def cmd_build(args) -> int:
     engine.write_tree(result, g.n, args.out)
     if args.stats:
         _write_stats(result, g, args.stats)
-    print(f"{args.algo}: {len(result.edges)} edges, total {_weight_text(g, result.total)}")
+    print(f"{args.algo}: {len(result.edges)} edges, total {_weight_text(result.total)}")
     return 0
 
 
+def _tree_file(path, n=None):
+    """The header total and the edges of a tree file: the header 'n k total
+    rounds' with the given n, then 'u v w' lines read as in graph files."""
+    line_no, (tree_n, _, total, _), lines = read_header(path, "n k total rounds", "tree")
+    if n is not None and tree_n != n:
+        raise ParseError(line_no, f"tree header has n={tree_n}, the graph has n={n}")
+    return total, list(starmap(parse_edge, lines))
+
+
 def _read_tree(path, n=None):
-    """The edges of a tree file: the header line 'n k total rounds', then
-    one 'u v w' line per edge; blank and '#' lines are skipped.  A file
-    without the header is a ParseError, and so is a header whose n is
-    not the given n.  Bytes that are not UTF-8 read as U+FFFD."""
-    edges = []
-    header_n = None
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if header_n is None:
-                header_n = _tree_header_n(line_no, line)
-                if n is not None and header_n != n:
-                    raise ParseError(line_no, f"tree header has n={header_n}, the graph has n={n}")
-                continue
-            try:
-                u, v, w = parts
-                u, v, w = int(u), int(v), _as_fraction(w)
-            except (ValueError, InvalidWeight):
-                raise ParseError(line_no, f"expected 'u v w', got {line!r}") from None
-            edges.append((u, v, int(w) if w.denominator == 1 else w))
-    if header_n is None:
-        raise ParseError(1, "no header 'n k total rounds' in the tree file")
-    return edges
-
-
-def _tree_header_n(line_no: int, line: str) -> int:
-    """n of a tree header 'n k total rounds', whose n, k and rounds are
-    non-negative integers and whose total is an exact weight."""
-    try:
-        n, k, total, rounds = line.split()
-        n, k, rounds = int(n), int(k), int(rounds)
-        _as_fraction(total)
-        if min(n, k, rounds) >= 0:
-            return n
-    except (ValueError, InvalidWeight):
-        pass
-    raise ParseError(line_no, f"expected header 'n k total rounds', got {line!r}")
+    """The edges of a tree file, as _tree_file reads them."""
+    return _tree_file(path, n)[1]
 
 
 def cmd_verify(args) -> int:
     g = read_graph(args.input)
-    edges = _read_tree(args.tree, g.n)
+    total, edges = _tree_file(args.tree, g.n)
     try:
         witness = baselines.minimality_witness(g, edges)
     except NotASpanningForest as exc:
         print(f"FAIL: {exc.problem}")
         return 1
-    if witness is None:
-        print("OK")
-        return 0
-    (u, v, w), (x, y, wt) = witness
-    print(
-        f"FAIL: not minimum: non-tree edge ({u}, {v}, {_weight_text(g, w)}) is lighter"
-        f" than tree edge ({x}, {y}, {_weight_text(g, wt)}) on its path"
-    )
-    return 1
+    if witness is not None:
+        (u, v, w), (x, y, wt) = witness
+        print(
+            f"FAIL: not minimum: non-tree edge ({u}, {v}, {_weight_text(w)}) is lighter"
+            f" than tree edge ({x}, {y}, {_weight_text(wt)}) on its path"
+        )
+        return 1
+    claimed = sum(w for *_, w in edges)
+    if claimed != total:
+        print(f"FAIL: header total {_weight_text(total)} is not the edges' total {_weight_text(claimed)}")
+        return 1
+    print("OK")
+    return 0
 
 
 def cmd_kvalue(args) -> int:
@@ -243,7 +220,7 @@ def _bench_row(spec, algo, g, repeats):
         "phase3_ms": f"{wall * 1e3:.3f}"
         if algo not in ENGINE_ALGOS
         else f"{phases.get('merge_rounds', 0) * 1e3:.3f}",
-        "total_weight": _weight_text(g, res.total),
+        "total_weight": _weight_text(res.total),
         "materialise_ms": f"{phases.get('materialise', 0) * 1e3:.3f}",
         "wall_ms": f"{wall * 1e3:.3f}",
     }

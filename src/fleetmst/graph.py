@@ -15,10 +15,9 @@ for those keys to fit in int64, n is at most MAX_NODES.
 from __future__ import annotations
 
 import math
-import numbers
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -41,6 +40,11 @@ MAX_NODES = 3_037_000_499
 
 
 def _as_fraction(w: WeightLike) -> Fraction:
+    if isinstance(w, str):  # first: the file readers pass tokens
+        try:
+            return Fraction(Decimal(w))
+        except Exception:
+            raise InvalidWeight(f"cannot parse weight {w!r}") from None
     if isinstance(w, bool):
         raise InvalidWeight(f"bool is not a weight: {w!r}")
     if isinstance(w, (int, np.integer)):
@@ -49,11 +53,6 @@ def _as_fraction(w: WeightLike) -> Fraction:
         return w
     if isinstance(w, Decimal):
         return Fraction(w)
-    if isinstance(w, str):
-        try:
-            return Fraction(Decimal(w))
-        except Exception:
-            raise InvalidWeight(f"cannot parse weight {w!r}") from None
     if isinstance(w, float):
         raise InvalidWeight(
             f"binary float weight {w!r} rejected; pass an int or a decimal string"
@@ -63,8 +62,8 @@ def _as_fraction(w: WeightLike) -> Fraction:
 
 def _show(w: Weight) -> str:
     """The weight as text, or its order of magnitude when it has more
-    digits than int-to-str conversion allows."""
-    if max(abs(w.numerator), w.denominator).bit_length() <= 2000:  # ~600 digits
+    than about 38 digits."""
+    if max(abs(w.numerator), w.denominator).bit_length() <= 128:
         return str(w)
     return f"of about 1e{round(math.log10(abs(w.numerator)) - math.log10(w.denominator))}"
 
@@ -82,19 +81,21 @@ def decimal_places(w: Weight) -> int:
     return max(twos, fives)
 
 
-def scale_weights(raw: Sequence[WeightLike]) -> tuple[np.ndarray, int]:
-    """Convert weights to (scaled int64 array, scale) with minimal scale."""
-    return _scale_fractions([_as_fraction(w) for w in raw])
-
-
-def _scale_fractions(fracs: list[Fraction]) -> tuple[np.ndarray, int]:
-    places = max(map(decimal_places, fracs), default=0)
+def scale_weights(raw: Sequence[WeightLike], lines: Sequence[int] = ()) -> tuple[np.ndarray, int]:
+    """Convert weights to (scaled int64 array, scale) with minimal scale.
+    Python ints and Fractions are taken as they are, any other weight
+    through _as_fraction.  A weight beyond int64 at the scale is an
+    InvalidWeight, naming its line when ``lines`` gives each weight's."""
+    ws = [w if type(w) in (int, Fraction) else _as_fraction(w) for w in raw]
+    places = max((decimal_places(w) for w in ws if type(w) is not int), default=0)
     scale = 10**places
-    vals = [int(f * scale) for f in fracs]
+    # Exact, and no Fraction multiply: every denominator divides the scale.
+    vals = [w.numerator * (scale // w.denominator) for w in ws]
     lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
     if vals and not lo <= min(vals) <= max(vals) <= hi:
-        f = next(f for f, v in zip(fracs, vals) if not lo <= v <= hi)
-        raise InvalidWeight(f"weight {_show(f)} at scale 1e{places} does not fit in 64 bits")
+        i = next(i for i, v in enumerate(vals) if not lo <= v <= hi)
+        at = f" at line {lines[i]}" if lines else ""
+        raise InvalidWeight(f"weight {_show(ws[i])} at scale 1e{places} does not fit in 64 bits{at}")
     return np.array(vals, dtype=np.int64), scale
 
 
@@ -278,63 +279,82 @@ def _is_id(r, n: int) -> bool:
     return not isinstance(r, bool) and isinstance(r, (int, np.integer)) and 0 <= r < n
 
 
-def read_graph(path) -> Graph:
-    """Parse the edge-list text format (see write_graph); non-UTF-8 bytes read as U+FFFD."""
-    n = m = None
-    us: list[int] = []
-    vs: list[int] = []
-    ws: list[Fraction] = []
-    seen: set[tuple[int, int]] = set()
+def read_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line of a text file that is
+    not blank or a '#' comment; bytes that are not UTF-8 read as U+FFFD."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if n is None:
-                if len(parts) != 2:
-                    raise ParseError(line_no, f"expected 'n m', got {line!r}")
-                try:
-                    n, m = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise ParseError(line_no, f"bad header {line!r}") from None
-                if n < 0 or m < 0:
-                    raise ParseError(line_no, "negative n or m")
-                if n > MAX_NODES:
-                    raise TooLarge(f"{n} nodes exceed the limit of {MAX_NODES}")
-                continue
-            if len(parts) != 3:
-                raise ParseError(line_no, f"expected 'u v w', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(line_no, f"bad node id in {line!r}") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise IdOutOfRange(
-                    f"id out of range [0, {n}) at line {line_no}: {line!r}"
-                )
-            if u == v:
-                raise SelfLoop(f"self loop at line {line_no}: {line!r}")
-            try:
-                w = _as_fraction(parts[2])
-            except InvalidWeight:
-                raise ParseError(line_no, f"bad weight {parts[2]!r}") from None
-            if w <= 0:
-                raise NonPositiveWeight(
-                    f"non-positive weight at line {line_no}: {line!r}"
-                )
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise DuplicateEdge(f"duplicate edge at line {line_no}: {line!r}")
-            seen.add(key)
-            us.append(u)
-            vs.append(v)
-            ws.append(w)
-    if n is None:
-        raise ParseError(1, "empty file, missing 'n m' header")
+            if line and not line.startswith("#"):
+                yield line_no, line
+
+
+def _exact(token: str) -> Weight:
+    """An exact weight token's value: int(token), with no Fraction, for up
+    to 18 decimal digits (always within int64), else _as_fraction(token)."""
+    return int(token) if token.isdecimal() and len(token) <= 18 else _as_fraction(token)
+
+
+def read_header(path, form: str, kind: str) -> tuple[int, list, Iterator[tuple[int, str]]]:
+    """The header line number, the header fields and the remaining lines
+    of an edge file.  The header is its first line (see read_lines), of the
+    given form, such as 'n m': non-negative integers and exact 'total'."""
+    lines = read_lines(path)
+    line_no, line = next(lines, (1, ""))
+    parts, names = line.split(), form.split()
+    if not parts:
+        raise ParseError(1, f"no header {form!r} in the {kind} file")
+    if len(parts) != len(names):
+        raise ParseError(line_no, f"expected {form!r}, got {line!r}")
+    try:
+        vals = [_exact(t) if name == "total" else int(t) for name, t in zip(names, parts)]
+        if min(vals) >= 0:
+            return line_no, vals, lines
+    except (ValueError, InvalidWeight):
+        pass
+    raise ParseError(line_no, f"bad header {line!r}")
+
+
+def parse_edge(line_no: int, line: str) -> tuple[int, int, Weight]:
+    """An edge line 'u v w': integer ids and an exact weight."""
+    parts = line.split()
+    if len(parts) != 3:
+        raise ParseError(line_no, f"expected 'u v w', got {line!r}")
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(line_no, f"bad node id in {line!r}") from None
+    try:
+        return u, v, _exact(parts[2])
+    except InvalidWeight:
+        raise ParseError(line_no, f"bad weight {parts[2]!r}") from None
+
+
+def read_graph(path) -> Graph:
+    """Parse the edge-list text format (see write_graph); non-UTF-8 bytes read as U+FFFD."""
+    line_no, (n, m), lines = read_header(path, "n m", "graph")
+    if n > MAX_NODES:
+        raise TooLarge(f"{n} nodes exceed the limit of {MAX_NODES}")
+    us, vs, ws, at, seen = [], [], [], [], set()  # at: each edge's line number
+    for line_no, line in lines:
+        u, v, w = parse_edge(line_no, line)
+        if not (0 <= u < n and 0 <= v < n):
+            raise IdOutOfRange(f"id out of range [0, {n}) at line {line_no}: {line!r}")
+        if u == v:
+            raise SelfLoop(f"self loop at line {line_no}: {line!r}")
+        if w.numerator <= 0:  # the sign, without a Fraction comparison
+            raise NonPositiveWeight(f"non-positive weight at line {line_no}: {line!r}")
+        key = u * n + v if u < v else v * n + u
+        if key in seen:
+            raise DuplicateEdge(f"duplicate edge at line {line_no}: {line!r}")
+        seen.add(key)
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
+        at.append(line_no)
     if len(us) != m:
-        raise ParseError(line_no if us or m else 1, f"expected {m} edges, found {len(us)}")
-    w_arr, scale = _scale_fractions(ws)
+        raise ParseError(line_no, f"expected {m} edges, found {len(us)}")
+    w_arr, scale = scale_weights(ws, at)
     return graph_from_arrays(
         n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), w_arr, scale
     )

@@ -7,7 +7,8 @@ import pytest
 from fleetmst import baselines, engine, kernels
 from fleetmst.cli import CSV_HEADER, _read_tree, main
 from fleetmst.errors import ParseError
-from fleetmst.graph import read_graph
+from fleetmst.generators import lattice8
+from fleetmst.graph import graph_from_arrays, read_graph, write_graph
 
 
 def test_gen_writes_a_parseable_lattice(tmp_path, capsys):
@@ -68,6 +69,23 @@ def test_verify_rejects_a_tampered_tree(tmp_path, capsys):
     tpath.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(gpath), str(tpath)]) == 1
     assert capsys.readouterr().out.rstrip().endswith("FAIL: not spanning")
+
+
+@pytest.mark.parametrize(
+    "graph, edges, claimed, true",
+    [("0 1 1\n1 2 2", "0 1 1\n1 2 2", "999", "3"), ("0 1 0.25\n1 2 1.5", "1 2 1.5\n0 1 0.25", "1.74", "1.75")],
+    ids=["scale 1", "scale 100"],
+)
+def test_verify_checks_the_header_total(tmp_path, capsys, graph, edges, claimed, true):
+    gpath = tmp_path / "g.txt"
+    tpath = tmp_path / "t.txt"
+    gpath.write_text(f"3 2\n{graph}\n")
+    tpath.write_text(f"3 0 {claimed} 0\n{edges}\n")
+    assert main(["verify", str(gpath), str(tpath)]) == 1
+    assert capsys.readouterr().out == f"FAIL: header total {claimed} is not the edges' total {true}\n"
+    tpath.write_text(f"3 0 {true} 0\n{edges}\n")
+    assert main(["verify", str(gpath), str(tpath)]) == 0
+    assert capsys.readouterr().out == "OK\n"
 
 
 def test_verify_names_the_edges_that_break_minimality(tmp_path, capsys):
@@ -158,6 +176,29 @@ def test_read_tree_takes_the_path_alone(tmp_path):
         _read_tree(tpath, 4)
 
 
+def _decimal_lattice(p: int, scale: int):
+    """lattice8(p, 1..10) with its weights read at ``scale``: 0.1 to 1 at
+    scale 10, 0.01 to 0.1 at scale 100."""
+    base = lattice8(p, tuple(range(1, 11)), seed=p)
+    half = base.half_arcs()
+    return graph_from_arrays(base.n, base.arc_sources()[half], base.leaves[half], base.weights[half], scale)
+
+
+def test_graph_and_tree_files_round_trip(tmp_path, corpus_runs):
+    gpath = tmp_path / "g.txt"
+    tpath = tmp_path / "t.txt"
+    cases = [(spec.token(), g, [runs["ooag"], runs["koag_seeded"], ref]) for spec, g, ref, runs in corpus_runs]
+    for p, scale in [(20, 10), (60, 10), (20, 100), (60, 100)]:
+        g = _decimal_lattice(p, scale)
+        cases.append((f"p={p} scale={scale}", g, [engine.run(g, "ooag"), engine.run(g, "koag_seeded"), baselines.kruskal(g)]))
+    for name, g, results in cases:
+        write_graph(g, gpath)
+        assert read_graph(gpath) == g, name
+        for res in results:
+            engine.write_tree(res, g.n, tpath)
+            assert _read_tree(tpath) == list(res.edges), (name, res.mode)
+
+
 def test_node_count_beyond_the_key_range_is_an_input_error(tmp_path, capsys):
     # 3037000500**2 overflows int64; the build is refused before any
     # n-sized array is allocated.
@@ -194,7 +235,9 @@ def test_weight_beyond_int64_is_an_input_error(tmp_path, capsys, edges):
     gpath = tmp_path / "g.txt"
     gpath.write_text(f"3 {len(edges)}\n" + "\n".join(edges) + "\n")
     assert main(["build", str(gpath), "--out", str(tmp_path / "t.txt")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    # The weight that does not fit is the last edge: line 2 or 3.
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f" at line {len(edges) + 1}\n"), err
 
 
 def test_weight_with_many_decimal_places_round_trips(tmp_path, capsys):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from oracles import lexsort_graph
 
+from fleetmst import graph
+from fleetmst.cli import _read_tree, _tree_file
 from fleetmst.errors import (
     DuplicateEdge,
     GraphError,
@@ -14,6 +16,7 @@ from fleetmst.errors import (
     SelfLoop,
     TooLarge,
 )
+from fleetmst.engine import run, write_tree
 from fleetmst.fleet import build_fleet, trace_chain
 from fleetmst.generators import lattice8
 from fleetmst.graph import (
@@ -203,6 +206,65 @@ def test_read_graph_accepts_comments_and_blanks(tmp_path):
     g = read_graph(p)
     assert g.m == 2
     assert [(u, v, g.unscale(w)) for u, v, w in g.edge_list()] == [(0, 1, 1), (1, 2, Fraction(1, 2))]
+
+
+# Weight tokens and the value and graph scale each reads as: the text
+# language of the Decimal constructor, in graph and tree files alike.
+GOOD_TOKENS = [
+    ("+1", 1, 1),
+    ("1_0", 10, 1),
+    ("1__0", 10, 1),
+    ("_1", 1, 1),
+    ("1.50", Fraction(3, 2), 10),
+    (".5", Fraction(1, 2), 10),
+    ("5.", 5, 1),
+    ("1E2", 100, 1),
+    ("\u0663", 3, 1),  # ARABIC-INDIC DIGIT THREE
+]
+
+
+@pytest.mark.parametrize("token, value, scale", GOOD_TOKENS)
+def test_weight_tokens_read_alike_in_graph_and_tree_files(tmp_path, token, value, scale):
+    gpath, tpath = tmp_path / "g.txt", tmp_path / "t.txt"
+    gpath.write_text(f"2 1\n+0 1 {token}\n", encoding="utf-8")
+    tpath.write_text(f"2 0 {token} 0\n+0 1 {token}\n", encoding="utf-8")
+    g = read_graph(gpath)
+    assert g.scale == scale and g.edge_list() == [(0, 1, value * scale)]
+    assert _tree_file(tpath) == (value, [(0, 1, value)])
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "1/2", "0x10"])
+def test_tokens_that_are_not_exact_decimals_are_bad_weights(tmp_path, token):
+    gpath, tpath = tmp_path / "g.txt", tmp_path / "t.txt"
+    gpath.write_text(f"2 1\n# c\n0 1 {token}\n")
+    tpath.write_text(f"2 0 1 0\n# c\n0 1 {token}\n")
+    for read, path in [(read_graph, gpath), (_read_tree, tpath)]:
+        with pytest.raises(ParseError, match=f"line 3: bad weight '{token}'"):
+            read(path)
+
+
+def test_negative_zero_is_a_non_positive_graph_weight_and_a_zero_tree_weight(tmp_path):
+    gpath, tpath = tmp_path / "g.txt", tmp_path / "t.txt"
+    gpath.write_text("2 1\n0 1 -0\n")
+    tpath.write_text("2 0 0 0\n0 1 -0\n")
+    with pytest.raises(NonPositiveWeight, match="line 2"):
+        read_graph(gpath)
+    assert _read_tree(tpath) == [(0, 1, 0)]
+
+
+def test_integer_weights_are_read_without_fraction(tmp_path, monkeypatch):
+    g = lattice8(12, (1, 2, 3), seed=4)
+    res = run(g, mode="ooag")
+    gpath, tpath = tmp_path / "g.txt", tmp_path / "t.txt"
+    write_graph(g, gpath)
+    write_tree(res, g.n, tpath)
+
+    def no_fraction(w):
+        raise AssertionError(f"{w!r} was read through a Fraction")
+
+    monkeypatch.setattr(graph, "_as_fraction", no_fraction)
+    assert read_graph(gpath) == g
+    assert _read_tree(tpath) == list(res.edges)
 
 
 def _builds(build, n, u, v, w):
