@@ -17,13 +17,12 @@ import heapq
 import itertools
 import math
 from collections.abc import Sequence
-from fractions import Fraction
 
 import numpy as np
 
 from .engine import EdgeColumns, MstResult
-from .errors import NotASpanningForest, TooLarge
-from .graph import Graph, Weight, exact_sum
+from .errors import GraphError, NotASpanningForest, TooLarge
+from .graph import Graph, Weight, edge_columns, exact_sum
 
 
 class DisjointSet:
@@ -187,61 +186,32 @@ def brute_force(g: Graph) -> Weight:
 Witness = tuple[tuple[int, int, Weight], tuple[int, int, Weight]]
 
 
-def _scaled_claims(ws, scale: int) -> np.ndarray | None:
-    """Claimed weights in units of 1/scale as int64, or None unless each
-    is an integer there that fits."""
-    out = []
-    for w in ws:
-        if type(w) is not int:
-            try:
-                f = Fraction(w) * scale
-            except (TypeError, ValueError, OverflowError):
-                return None
-            if f.denominator != 1:
-                return None
-            w = f.numerator
-        else:
-            w *= scale
-        out.append(w)
-    try:
-        return np.array(out, dtype=np.int64)
-    except OverflowError:
-        return None
-
-
 def _claim_columns(edges, n: int, scale: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The claims as int64 columns: the smaller end, the larger end and
     the weight in units of 1/scale.  Raises NotASpanningForest('unknown
     edge') unless every claim is (u, v, w) with integer ids in range and
-    w an integer at that scale that fits in int64.  An EdgeColumns at
-    this scale gives its columns as they are; any other claim is read
-    item by item."""
+    w a positive integer at that scale that fits in int64.  An
+    EdgeColumns gives its columns as they are, with one exact integer
+    rescale of its weights when its scale is another; any other claim
+    goes through graph.edge_columns first."""
     unknown = NotASpanningForest("unknown edge")
-    if isinstance(edges, EdgeColumns) and edges.scale == scale:
-        u, v, cw = edges.u, edges.v, edges.w
-    elif len(edges) == 0:
-        return (np.zeros(0, dtype=np.int64),) * 3
+    if isinstance(edges, EdgeColumns):
+        u, v, cw, at_scale = edges.u, edges.v, edges.w, edges.scale
     else:
         try:
-            cols = np.array(edges)
-        except ValueError:  # claims of different lengths
+            u, v, cw, at_scale = edge_columns(n, edges)
+        except GraphError:
             raise unknown from None
-        if cols.ndim != 2 or cols.shape[1] != 3:
+    if at_scale != scale and cw.size:
+        # Scales are powers of ten, so one divides the other; graph
+        # weights are positive, so a claim that is not cannot match.
+        mul, div = max(scale // at_scale, 1), max(at_scale // scale, 1)
+        top = np.iinfo(np.int64).max
+        if max(mul, div) > top or cw.min() <= 0 or np.any(cw % div) or cw.max() // div > top // mul:
             raise unknown
-        fits = np.iinfo(np.int64).max // scale
-        if cols.dtype.kind == "i" and -fits <= cols[:, 2].min() and cols[:, 2].max() <= fits:
-            cols = cols.astype(np.int64, copy=False)
-            (u, v), cw = cols[:, :2].T, cols[:, 2] * scale
-        else:
-            # Fractions, floats, strings, ids or weights beyond int64: look
-            # at each claimed item as given.
-            u, v = np.array(([e[0] for e in edges], [e[1] for e in edges]))
-            cw = _scaled_claims([e[2] for e in edges], scale)
-            if u.dtype.kind not in "iu" or cw is None:
-                raise unknown
+        cw = cw // div * mul
     if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
         raise unknown
-    u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
     return np.minimum(u, v), np.maximum(u, v), cw
 
 

@@ -11,14 +11,13 @@ import argparse
 import csv
 import sys
 import time
-from itertools import starmap
 
 import numpy as np
 
 from . import baselines, engine, generators, kernels
 from .errors import GraphError, NotASpanningForest, ParseError
 from .fleet import build_fleet
-from .graph import decimal_places, format_weight, parse_edge, read_graph, read_header, write_graph
+from .graph import decimal_places, exact_sum, format_weight, read_edges, read_graph, read_header, write_graph
 
 CSV_HEADER = [
     "spec",
@@ -146,11 +145,12 @@ def cmd_build(args) -> int:
 
 def _tree_file(path, n=None):
     """The header total and the edges of a tree file: the header 'n k total
-    rounds' with the given n, then 'u v w' lines read as in graph files."""
+    rounds' with the given n, then 'u v w' lines read as in graph files
+    (read_edges), as an EdgeColumns in file order at the file's scale."""
     line_no, (tree_n, _, total, _), lines = read_header(path, "n k total rounds", "tree")
     if n is not None and tree_n != n:
         raise ParseError(line_no, f"tree header has n={tree_n}, the graph has n={n}")
-    return total, list(starmap(parse_edge, lines))
+    return total, engine.EdgeColumns(*read_edges(lines, tree_n)[:4])
 
 
 def _read_tree(path, n=None):
@@ -162,7 +162,7 @@ def cmd_verify(args) -> int:
     g = read_graph(args.input)
     total, edges = _tree_file(args.tree, g.n)
     try:
-        witness = baselines.minimality_witness(g, edges)
+        witness, cw = baselines._certify(g, edges)
     except NotASpanningForest as exc:
         print(f"FAIL: {exc.problem}")
         return 1
@@ -173,7 +173,7 @@ def cmd_verify(args) -> int:
             f" than tree edge ({x}, {y}, {_weight_text(wt)}) on its path"
         )
         return 1
-    claimed = sum(w for *_, w in edges)
+    claimed = g.unscale(exact_sum(cw))
     if claimed != total:
         print(f"FAIL: header total {_weight_text(total)} is not the edges' total {_weight_text(claimed)}")
         return 1

@@ -74,8 +74,9 @@ class RoundStats:
 
 
 class EdgeColumns(Sequence):
-    """The edges of a result as read-only int64 columns: ends ``u < v``,
-    sorted on (u, v), and weights ``w`` in units of 1/``scale``.
+    """Edges as read-only int64 columns ``u``, ``v`` and weights ``w`` in
+    units of 1/``scale``: a result's with ``u < v``, sorted on (u, v), a
+    tree file's (``cli._tree_file``) in file order, the ends as written.
 
     It reads like the list of (u, v, w) tuples it stands for: ``len``,
     indexing, slicing (which gives a list), ``in`` and iteration yield

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     DuplicateEdge,
+    GraphError,
     IdOutOfRange,
     InvalidWeight,
     NonPositiveWeight,
@@ -206,20 +207,27 @@ class Graph:
 
 
 def graph_from_arrays(
-    n: int, u: np.ndarray, v: np.ndarray, w_scaled: np.ndarray, scale: int
+    n: int, u: np.ndarray, v: np.ndarray, w_scaled: np.ndarray, scale: int, lines: Sequence[int] = ()
 ) -> Graph:
     """Validating fast path behind the generators, build_graph and
-    read_graph.
+    read_graph, and the only self-loop, sign and duplicate check.
 
-    After the id, self-loop and weight checks, n must be at most
-    MAX_NODES.  Each edge gives two arc keys ``u * n + v`` and
+    After the id, self-loop and weight checks, in that order, n must be
+    at most MAX_NODES.  Each edge gives two arc keys ``u * n + v`` and
     ``v * n + u``, and one stable argsort of those 2m keys orders the
     CSR rows.  Equal neighbouring keys are a duplicate edge; the first
-    is the smallest duplicated pair (a, b) with a < b.
+    is the smallest duplicated pair (a, b) with a < b.  When ``lines``
+    gives each edge's line, an error names the line of the edge it
+    reports: the first self loop or non-positive weight, or the second
+    copy of that duplicated pair.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     w_scaled = np.asarray(w_scaled, dtype=np.int64)
+
+    def at(i) -> str:
+        return f" at line {lines[i]}" if lines else ""
+
     if u.size:
         if u.min(initial=0) < 0 or v.min(initial=0) < 0 or max(u.max(), v.max()) >= n:
             bad = np.nonzero((u < 0) | (v < 0) | (u >= n) | (v >= n))[0][0]
@@ -228,11 +236,11 @@ def graph_from_arrays(
             )
         loops = np.nonzero(u == v)[0]
         if loops.size:
-            raise SelfLoop(f"self loop at node {int(u[loops[0]])}")
+            raise SelfLoop(f"self loop at node {int(u[loops[0]])}{at(loops[0])}")
         nonpos = np.nonzero(w_scaled <= 0)[0]
         if nonpos.size:
             raise NonPositiveWeight(
-                f"edge ({int(u[nonpos[0]])}, {int(v[nonpos[0]])}) has non-positive weight"
+                f"edge ({int(u[nonpos[0]])}, {int(v[nonpos[0]])}) has non-positive weight{at(nonpos[0])}"
             )
     if n > MAX_NODES:
         raise TooLarge(f"{n} nodes exceed the limit of {MAX_NODES}")
@@ -242,7 +250,8 @@ def graph_from_arrays(
     dup = np.flatnonzero(key[1:] == key[:-1])
     if dup.size:
         a, b = divmod(int(key[dup[0]]), n)
-        raise DuplicateEdge(f"edge ({a}, {b}) appears more than once")
+        copies = np.sort(order[key == key[dup[0]]] % u.size)
+        raise DuplicateEdge(f"edge ({a}, {b}) appears more than once{at(copies[1])}")
     leaves = np.concatenate([v, u])[order]
     weights = np.concatenate([w_scaled, w_scaled])[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -251,7 +260,7 @@ def graph_from_arrays(
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int, WeightLike]]) -> Graph:
-    """Build a validated Graph from an (u, v, w) edge list.
+    """Build a validated Graph from (u, v, w) triples (see edge_columns).
 
     Rejects duplicate unordered pairs, self loops, non-positive weights
     and ids that are not integers in [0, n): an id must be a Python or
@@ -263,15 +272,27 @@ def build_graph(n: int, edges: Iterable[tuple[int, int, WeightLike]]) -> Graph:
         raise IdOutOfRange(f"node count {n!r} is not a non-negative integer")
     if n > MAX_NODES:
         raise TooLarge(f"{n} nodes exceed the limit of {MAX_NODES}")
-    edges = list(edges)
+    return graph_from_arrays(n, *edge_columns(n, edges))
+
+
+def edge_columns(n: int, edges: Iterable) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The edges as int64 columns (u, v, w in units of 1/scale) and
+    their scale, by scale_weights.  Each edge must be a (u, v, w)
+    triple whose ids are integers in [0, n) (see _is_id); anything else
+    is a GraphError."""
+    us, vs, ws = [], [], []
     for e in edges:
-        for r in e[:2]:
-            if not _is_id(r, n):
-                raise IdOutOfRange(f"edge ({e[0]!r}, {e[1]!r}) has an id that is not an integer in [0, {n})")
-    us = np.array([e[0] for e in edges], dtype=np.int64)
-    vs = np.array([e[1] for e in edges], dtype=np.int64)
-    ws, scale = scale_weights([e[2] for e in edges])
-    return graph_from_arrays(n, us, vs, ws, scale)
+        try:
+            u, v, w = e
+        except (TypeError, ValueError):
+            raise GraphError(f"edge {e!r} is not a (u, v, w) triple") from None
+        if not (_is_id(u, n) and _is_id(v, n)):
+            raise IdOutOfRange(f"edge ({u!r}, {v!r}) has an id that is not an integer in [0, {n})")
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
+    w_arr, scale = scale_weights(ws)
+    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), w_arr, scale
 
 
 def _is_id(r, n: int) -> bool:
@@ -315,49 +336,56 @@ def read_header(path, form: str, kind: str) -> tuple[int, list, Iterator[tuple[i
     raise ParseError(line_no, f"bad header {line!r}")
 
 
-def parse_edge(line_no: int, line: str) -> tuple[int, int, Weight]:
-    """An edge line 'u v w': integer ids and an exact weight."""
-    parts = line.split()
-    if len(parts) != 3:
-        raise ParseError(line_no, f"expected 'u v w', got {line!r}")
-    try:
-        u, v = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(line_no, f"bad node id in {line!r}") from None
-    try:
-        return u, v, _exact(parts[2])
-    except InvalidWeight:
-        raise ParseError(line_no, f"bad weight {parts[2]!r}") from None
-
-
-def read_graph(path) -> Graph:
-    """Parse the edge-list text format (see write_graph); non-UTF-8 bytes read as U+FFFD."""
-    line_no, (n, m), lines = read_header(path, "n m", "graph")
-    if n > MAX_NODES:
-        raise TooLarge(f"{n} nodes exceed the limit of {MAX_NODES}")
-    us, vs, ws, at, seen = [], [], [], [], set()  # at: each edge's line number
+def read_edges(lines, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, list[int]]:
+    """The (line number, 'u v w' line) pairs of an edge file (see
+    read_lines) as int64 columns in file order, the ends as written:
+    (u, v, w in units of 1/scale, scale, each edge's line number).  A
+    line needs integer ids in [0, n) and an exact weight; the weights
+    are scaled by scale_weights.  Errors name their line: parse and
+    range errors in file order, then a weight beyond int64 at the scale."""
+    us, vs, ws, at = [], [], [], []
     for line_no, line in lines:
-        u, v, w = parse_edge(line_no, line)
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(line_no, f"expected 'u v w', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(line_no, f"bad node id in {line!r}") from None
+        try:
+            w = _exact(parts[2])
+        except InvalidWeight:
+            raise ParseError(line_no, f"bad weight {parts[2]!r}") from None
         if not (0 <= u < n and 0 <= v < n):
             raise IdOutOfRange(f"id out of range [0, {n}) at line {line_no}: {line!r}")
-        if u == v:
-            raise SelfLoop(f"self loop at line {line_no}: {line!r}")
-        if w.numerator <= 0:  # the sign, without a Fraction comparison
-            raise NonPositiveWeight(f"non-positive weight at line {line_no}: {line!r}")
-        key = u * n + v if u < v else v * n + u
-        if key in seen:
-            raise DuplicateEdge(f"duplicate edge at line {line_no}: {line!r}")
-        seen.add(key)
         us.append(u)
         vs.append(v)
         ws.append(w)
         at.append(line_no)
-    if len(us) != m:
-        raise ParseError(line_no, f"expected {m} edges, found {len(us)}")
     w_arr, scale = scale_weights(ws, at)
-    return graph_from_arrays(
-        n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), w_arr, scale
-    )
+    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), w_arr, scale, at
+
+
+def _counted(lines, m: int, line_no: int) -> Iterator[tuple[int, str]]:
+    """The lines, then a ParseError at the last one unless there were m."""
+    count = 0
+    for count, (line_no, line) in enumerate(lines, start=1):
+        yield line_no, line
+    if count != m:
+        raise ParseError(line_no, f"expected {m} edges, found {count}")
+
+
+def read_graph(path) -> Graph:
+    """Parse the edge-list text format (see write_graph); non-UTF-8
+    bytes read as U+FFFD.  The edge lines go through read_edges and
+    graph_from_arrays, so of several faults the first reported is a
+    parse or range error (in file order), then a wrong edge count, then
+    a weight beyond int64, then a self loop, a non-positive weight and
+    a duplicate edge; each names its line."""
+    line_no, (n, m), lines = read_header(path, "n m", "graph")
+    if n > MAX_NODES:
+        raise TooLarge(f"{n} nodes exceed the limit of {MAX_NODES}")
+    return graph_from_arrays(n, *read_edges(_counted(lines, m, line_no), n))
 
 
 def write_graph(g: Graph, path, comments: Sequence[str] = ()) -> None:

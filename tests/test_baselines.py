@@ -274,6 +274,27 @@ def test_verify_decimal_weights(scale):
     ]
 
 
+def test_verify_rescales_columns_at_another_scale_exactly():
+    g = build_graph(3, [(0, 1, "0.4"), (1, 2, "0.6"), (0, 2, 3)])
+
+    def verdict(claim, scale):
+        u, v, w = (np.array(c, dtype=np.int64) for c in zip(*claim))
+        return verify_spanning_forest(g, EdgeColumns(u, v, w, scale))
+
+    assert verdict([(0, 1, 40), (1, 2, 60)], 100) == []
+    assert verdict([(0, 1, 40), (0, 2, 300)], 100) == ["not minimum"]
+    # Unknown: 0.45 is not at the graph's scale 10; at scale 1, ten times
+    # the weight wraps in int64 to the 4 of (0, 1) or the 6 of (1, 2); a
+    # ratio of scales beyond int64.
+    for claim, scale in [
+        ([(0, 1, 45), (0, 2, 300)], 100),
+        ([(0, 1, (4 + 2**64) // 10), (0, 2, 3)], 1),
+        ([(1, 2, (6 - 2**64) // 10), (0, 2, 3)], 1),
+        ([(0, 1, 4), (0, 2, 30)], 10**30),
+    ]:
+        assert verdict(claim, scale) == ["unknown edge"], claim
+
+
 def test_verify_fraction_claims_on_integer_weights():
     assert verify_spanning_forest(TRIANGLE, [(0, 1, Fraction(1)), (1, 2, Fraction(4, 2))]) == []
     assert verify_spanning_forest(TRIANGLE, [(0, 1, Fraction(1, 2)), (1, 2, 2)]) == ["unknown edge"]
@@ -296,6 +317,9 @@ def test_verify_out_of_range_ids_are_unknown_edges(bad):
         [(0, 1, 1), "12"],
         [(0, 1, 1), (1.0, 2, 2)],
         [(0, 1, 1), (1, 2, [2])],
+        [(0, 1, 1), (True, 2, 2)],
+        [(0, 1, 1.0)],
+        [(0, 1, True)],
     ],
 )
 def test_verify_malformed_claims_are_unknown_edges(claims):
@@ -346,20 +370,20 @@ def test_verify_checks_the_expected_total():
 
 def test_verify_expected_total_on_a_decimal_scale(monkeypatch):
     calls = []
-    scaled = baselines._scaled_claims
+    intake = baselines.edge_columns
 
-    def counted(ws, scale):
-        calls.append(scale)
-        return scaled(ws, scale)
+    def counted(n, edges):
+        calls.append(n)
+        return intake(n, edges)
 
-    monkeypatch.setattr(baselines, "_scaled_claims", counted)
+    monkeypatch.setattr(baselines, "edge_columns", counted)
     step = Fraction(1, 10)
     g = build_graph(3, [(0, 1, 3 * step), (1, 2, 7 * step), (0, 2, 1)])
     tree = [(0, 1, 3 * step), (1, 2, 7 * step)]
     assert verify_spanning_forest(g, tree, Fraction(1)) == []
     assert verify_spanning_forest(g, tree, Fraction(11, 10)) == ["not minimum"]
-    # The claimed weights are converted once per call, by the intake.
-    assert calls == [10, 10]
+    # The claims are converted once per call, by the shared intake.
+    assert calls == [3, 3]
 
 
 def test_verify_expected_total_beyond_int64():
@@ -384,9 +408,9 @@ def _verdicts(g, claim, total):
 
 
 def test_verifier_reads_columns_as_their_list(monkeypatch):
-    """Columns at the graph's scale are read as arrays, at another scale
-    item by item, with the verdicts and witnesses of their list: valid,
-    not minimum, cycle, not spanning and unknown claims."""
+    """Columns at the graph's scale and at ten times it are read as
+    arrays, with the verdicts and witnesses of their list: valid, not
+    minimum, cycle, not spanning and unknown claims."""
     cases = []  # (graph, columns, their list)
     graphs = (
         lattice8(9, (1, 2, 3), seed=4),
@@ -424,13 +448,12 @@ def test_verifier_reads_columns_as_their_list(monkeypatch):
     }
 
     def unread(self, *args):
-        raise AssertionError("columns at the graph's scale are read as arrays")
+        raise AssertionError("columns are read as arrays")
 
     monkeypatch.setattr(EdgeColumns, "__iter__", unread)
     monkeypatch.setattr(EdgeColumns, "__getitem__", unread)
     for (g, cols, claim), t, verdicts in zip(cases, totals, want):
-        if cols.scale == g.scale:
-            assert _verdicts(g, cols, t) == verdicts, claim
+        assert _verdicts(g, cols, t) == verdicts, claim
     monkeypatch.undo()
     for (g, cols, claim), t, verdicts in zip(cases, totals, want):
         assert list(cols) == claim

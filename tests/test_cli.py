@@ -131,6 +131,24 @@ def test_malformed_tree_line_is_an_input_error(tmp_path, capsys, line):
     assert capsys.readouterr().err.startswith("error: line 2: ")
 
 
+@pytest.mark.parametrize(
+    "line, err",
+    [
+        ("0 5 1", "id out of range [0, 2) at line 2: '0 5 1'"),
+        ("0 1 1e100000", "weight of about 1e100000 at scale 1e0 does not fit in 64 bits at line 2"),
+    ],
+    ids=["id", "weight"],
+)
+def test_tree_line_beyond_its_header_or_int64_is_an_input_error(tmp_path, capsys, line, err):
+    # Read as in graph files, not as a claim the verifier cannot find.
+    gpath = tmp_path / "g.txt"
+    tpath = tmp_path / "t.txt"
+    gpath.write_text("2 1\n0 1 1\n")
+    tpath.write_text(f"2 0 1 0\n{line}\n")
+    assert main(["verify", str(gpath), str(tpath)]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_tree_file_without_header_is_an_input_error(tmp_path, capsys):
     # Read with a header slot, the first edge would vanish and the tree
     # would fail as 'not spanning'.

@@ -103,6 +103,10 @@ def test_build_graph_validation():
         build_graph(2, [(0, 2, 1)])
     with pytest.raises(IdOutOfRange):
         build_graph(-1, [])
+    # Each edge is a (u, v, w) triple: no field dropped, no raw error.
+    for bad in [(0, 1, 1, 99), (0, 1), None]:
+        with pytest.raises(GraphError, match=r"not a \(u, v, w\) triple"):
+            build_graph(2, [bad])
 
 
 @pytest.mark.parametrize(
@@ -198,6 +202,12 @@ def test_read_graph_error_lines(tmp_path):
         read_graph(attempt("2 1\n0 1 abc\n"))
     with pytest.raises(ParseError, match="expected 1 edges"):
         read_graph(attempt("3 1\n"))
+    # Of several faults, a self loop comes before a non-positive weight,
+    # and that before a duplicate, wherever they stand in the file.
+    with pytest.raises(SelfLoop, match="line 3"):
+        read_graph(attempt("3 3\n0 1 -1\n1 1 2\n0 2 2\n"))
+    with pytest.raises(NonPositiveWeight, match="line 4"):
+        read_graph(attempt("3 3\n0 1 1\n1 0 1\n0 2 -1\n"))
 
 
 def test_read_graph_accepts_comments_and_blanks(tmp_path):
