@@ -8,7 +8,9 @@ too large to allocate is an input error too.
 from __future__ import annotations
 
 import argparse
-import csv
+import json
+import os
+import platform
 import sys
 import time
 
@@ -17,28 +19,10 @@ import numpy as np
 from . import baselines, engine, generators, kernels
 from .errors import GraphError, NotASpanningForest, ParseError
 from .fleet import build_fleet
-from .graph import decimal_places, exact_sum, format_weight, read_edges, read_graph, read_header, write_graph
+from .graph import exact_sum, read_edges, read_graph, read_header, weight_text, write_graph
 
-CSV_HEADER = [
-    "spec",
-    "algo",
-    "n",
-    "arcs",
-    "k",
-    "rounds",
-    "comparisons_A",
-    "ratio",
-    "phase1_ms",
-    "phase2_ms",
-    "phase3_ms",
-    "total_weight",
-    "materialise_ms",
-    "wall_ms",
-]
-
-ENGINE_ALGOS = list(engine.MODES) + ["boruvka"]
 FAMILIES = ["lattice", "lattice8", "gnm", "random_gnm", "complete", "path", "cycle"]
-ALL_ALGOS = ENGINE_ALGOS + ["kruskal", "prim"]
+ALL_ALGOS = [*engine.MODES, "boruvka", "kruskal", "prim"]
 
 
 def _parse_q(text: str) -> tuple[int, ...]:
@@ -109,28 +93,10 @@ def _run_algo(g, algo: str):
     return engine.run(g, mode=algo)
 
 
-def _weight_text(w) -> str:
-    """An exact decimal weight as its minimal decimal."""
-    scale = 10 ** decimal_places(w)
-    return format_weight(int(w * scale), scale)
-
-
-def _write_stats(result, g, path) -> None:
+def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"algo={result.mode}\n")
-        fh.write(f"n={g.n}\n")
-        fh.write(f"arcs={g.arc_count}\n")
-        fh.write(f"k={result.k_after_node_stage}\n")
-        fh.write(f"rounds={result.rounds}\n")
-        fh.write(f"comparisons_A={result.comparisons}\n")
-        fh.write(f"total_weight={_weight_text(result.total)}\n")
-        for name, sec in result.phase_seconds.items():
-            fh.write(f"{name}_ms={sec * 1e3:.3f}\n")
-        for i, rs in enumerate(result.per_round):
-            fh.write(
-                f"round{i}={rs.clusters_before}->{rs.clusters_after}"
-                f" arcs={rs.arcs_scanned} ms={rs.elapsed * 1e3:.3f}\n"
-            )
+        json.dump(obj, fh, indent=1)
+        fh.write("\n")
 
 
 def cmd_build(args) -> int:
@@ -138,8 +104,8 @@ def cmd_build(args) -> int:
     result = _run_algo(g, args.algo)
     engine.write_tree(result, g.n, args.out)
     if args.stats:
-        _write_stats(result, g, args.stats)
-    print(f"{args.algo}: {len(result.edges)} edges, total {_weight_text(result.total)}")
+        _write_json(args.stats, {"n": g.n, "arcs": g.arc_count, **result.record()})
+    print(f"{args.algo}: {len(result.edges)} edges, total {weight_text(result.total)}")
     return 0
 
 
@@ -169,13 +135,13 @@ def cmd_verify(args) -> int:
     if witness is not None:
         (u, v, w), (x, y, wt) = witness
         print(
-            f"FAIL: not minimum: non-tree edge ({u}, {v}, {_weight_text(w)}) is lighter"
-            f" than tree edge ({x}, {y}, {_weight_text(wt)}) on its path"
+            f"FAIL: not minimum: non-tree edge ({u}, {v}, {weight_text(w)}) is lighter"
+            f" than tree edge ({x}, {y}, {weight_text(wt)}) on its path"
         )
         return 1
     claimed = g.unscale(exact_sum(cw))
     if claimed != total:
-        print(f"FAIL: header total {_weight_text(total)} is not the edges' total {_weight_text(claimed)}")
+        print(f"FAIL: header total {weight_text(total)} is not the edges' total {weight_text(claimed)}")
         return 1
     print("OK")
     return 0
@@ -194,36 +160,19 @@ def cmd_kvalue(args) -> int:
     return 0
 
 
-def _bench_row(spec, algo, g, repeats):
+def _bench_row(spec, algo, g, repeats) -> dict:
     runs = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         res = _run_algo(g, algo)
         runs.append((time.perf_counter() - t0, res))
-    # The median run (the lower one for an even count) gives every column.
-    wall, res = sorted(runs, key=lambda r: r[0])[(len(runs) - 1) // 2]
+    runs.sort(key=lambda r: r[0])
+    # The median run (the lower one for an even count) gives the record.
+    wall, res = runs[(len(runs) - 1) // 2]
     if baselines.minimality_witness(g, res.edges) is not None:
         raise NotASpanningForest("not minimum")
-    phases = res.phase_seconds or {}
-    ratio = g.n / res.comparisons if res.comparisons else ""
-    return {
-        "spec": spec.token(),
-        "algo": algo,
-        "n": g.n,
-        "arcs": g.arc_count,
-        "k": res.k_after_node_stage,
-        "rounds": res.rounds,
-        "comparisons_A": res.comparisons,
-        "ratio": f"{ratio:.6f}" if ratio != "" else "",
-        "phase1_ms": f"{phases.get('fleet_build', 0) * 1e3:.3f}",
-        "phase2_ms": f"{phases.get('node_stage', 0) * 1e3:.3f}",
-        "phase3_ms": f"{wall * 1e3:.3f}"
-        if algo not in ENGINE_ALGOS
-        else f"{phases.get('merge_rounds', 0) * 1e3:.3f}",
-        "total_weight": _weight_text(res.total),
-        "materialise_ms": f"{phases.get('materialise', 0) * 1e3:.3f}",
-        "wall_ms": f"{wall * 1e3:.3f}",
-    }
+    wall_s = {"median": wall, "min": runs[0][0], "max": runs[-1][0]}
+    return {"spec": spec.token(), **res.record(), "wall_s": wall_s}
 
 
 def cmd_bench(args) -> int:
@@ -237,15 +186,16 @@ def cmd_bench(args) -> int:
                 rows.append(_bench_row(spec, algo, g, args.repeats))
             except Exception as exc:  # keep going, mark the row failed
                 print(f"warn: {spec.token()} {algo} failed: {exc}", file=sys.stderr)
-                row = {col: "" for col in CSV_HEADER}
-                row.update(spec=spec.token(), algo=algo, total_weight="FAILED")
-                rows.append(row)
+                rows.append({"spec": spec.token(), "mode": algo, "error": str(exc)})
                 failed += 1
-    with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {args.csv}")
+    env = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "nproc": os.cpu_count(),
+        "platform": platform.platform(),
+    }
+    _write_json(args.json, {"env": env, "rows": rows})
+    print(f"wrote {len(rows)} rows to {args.json}")
     if failed:
         print(f"error: {failed} of {len(rows)} rows failed", file=sys.stderr)
         return 1
@@ -278,7 +228,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--algo", choices=ALL_ALGOS, default="ooag")
     p.add_argument("--out", required=True, help="tree output file")
-    p.add_argument("--stats", help="flat key/value stats file")
+    p.add_argument("--stats", help="run record file (JSON)")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="check a tree file against its graph")
@@ -286,7 +236,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("tree")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="benchmark grid, CSV output")
+    p = sub.add_parser("bench", help="benchmark grid, JSON run records")
     p.add_argument("--family", choices=FAMILIES, default="lattice")
     p.add_argument("--grid", type=_parse_grid, required=True, help="comma-separated sizes (p or n)")
     p.add_argument("--algos", type=_parse_algos, default="ooag", help="comma list of algorithms")
@@ -294,7 +244,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=0, help="edge count for gnm")
     p.add_argument("--repeats", type=_positive, default=1)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--csv", required=True)
+    p.add_argument("--json", required=True, help="output file")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("kvalue", help="kernel count and size histogram")

@@ -53,14 +53,14 @@ from __future__ import annotations
 import operator
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import InconsistentModel, NoProgress
 from .fleet import FleetModel, _hook, _indptr, _jump, beam_components, build_fleet, half_beams
-from .graph import Graph, Weight, exact_sum, format_weight, unscale, write_edges
+from .graph import Graph, Weight, exact_sum, unscale, weight_text, write_edges
 
 MODES = ("oag_then_merge", "ooag", "koag_seeded")
 
@@ -131,6 +131,22 @@ class MstResult:
     node_arc_touches: int
     mode: str
     phase_seconds: dict[str, float] = field(default_factory=dict)
+
+    def record(self) -> dict:
+        """The run in plain JSON types: the edge count, the exact total as
+        its minimal decimal, k after the node stage, the merge rounds, A,
+        the phase timings and each merge round's RoundStats."""
+        return {
+            "mode": self.mode,
+            "edges": len(self.edges),
+            "total": weight_text(self.total),
+            "k": self.k_after_node_stage,
+            "rounds": self.rounds,
+            "comparisons_A": self.comparisons,
+            "node_arc_touches": self.node_arc_touches,
+            "phase_seconds": dict(self.phase_seconds),
+            "per_round": [asdict(rs) for rs in self.per_round],
+        }
 
 
 class Forest:
@@ -665,6 +681,5 @@ def write_tree(result: MstResult, n: int, path) -> None:
     are written exactly, as minimal decimals."""
     edges = result.edges
     with open(path, "w", encoding="utf-8") as fh:
-        total = format_weight(int(result.total * edges.scale), edges.scale)
-        fh.write(f"{n} {result.k_after_node_stage} {total} {result.rounds}\n")
+        fh.write(f"{n} {result.k_after_node_stage} {weight_text(result.total)} {result.rounds}\n")
         write_edges(fh, edges.u, edges.v, edges.w, edges.scale)

@@ -113,6 +113,12 @@ def format_weight(scaled: int, scale: int) -> str:
     return f"{q}.{digits}"
 
 
+def weight_text(w: Weight) -> str:
+    """An exact weight as its minimal decimal."""
+    scale = 10 ** decimal_places(w)
+    return format_weight(int(w * scale), scale)
+
+
 def exact_sum(w: np.ndarray) -> int:
     """The sum of positive int64 weights as a Python int, without
     overflow: in int64 when max(w) * count < 2**63, else as Python ints."""
@@ -279,9 +285,10 @@ def edge_columns(n: int, edges: Iterable) -> tuple[np.ndarray, np.ndarray, np.nd
     """The edges as int64 columns (u, v, w in units of 1/scale) and
     their scale, by scale_weights.  Each edge must be a (u, v, w)
     triple whose ids are integers in [0, n) (see _is_id); anything else
-    is a GraphError."""
+    is a GraphError.  An ndarray's rows are read as Python values
+    (``tolist``), so its integers need no numpy scalar handling."""
     us, vs, ws = [], [], []
-    for e in edges:
+    for e in edges.tolist() if isinstance(edges, np.ndarray) else edges:
         try:
             u, v, w = e
         except (TypeError, ValueError):

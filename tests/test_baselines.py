@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fleetmst import baselines, engine, fleet
+from fleetmst import baselines, engine, fleet, graph
 from fleetmst.baselines import (
     DisjointSet,
     brute_force,
@@ -327,6 +327,18 @@ def test_verify_malformed_claims_are_unknown_edges(claims):
     with pytest.raises(NotASpanningForest) as exc:
         minimality_witness(TRIANGLE, claims)
     assert exc.value.problem == "unknown edge"
+
+
+def test_verify_reads_an_array_claim_as_python_ints(monkeypatch):
+    def no_fraction(w):
+        raise AssertionError(f"weight {w!r} went through _as_fraction")
+
+    monkeypatch.setattr(graph, "_as_fraction", no_fraction)
+    claim = np.array([(0, 1, 1), (1, 2, 2)], dtype=np.int64)
+    assert verify_spanning_forest(TRIANGLE, claim) == []
+    monkeypatch.undo()
+    for dtype in (np.float64, bool):
+        assert verify_spanning_forest(TRIANGLE, claim.astype(dtype)) == ["unknown edge"], dtype
 
 
 def test_verify_duplicated_claim_is_a_cycle():

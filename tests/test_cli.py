@@ -1,11 +1,14 @@
-import csv
 import dataclasses
+import json
+import shlex
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from fleetmst import baselines, engine, kernels
-from fleetmst.cli import CSV_HEADER, _read_tree, main
+from fleetmst.cli import ALL_ALGOS, _read_tree, _run_algo, main, make_parser
 from fleetmst.errors import ParseError
 from fleetmst.generators import lattice8
 from fleetmst.graph import graph_from_arrays, read_graph, write_graph
@@ -48,15 +51,17 @@ def test_prim_builds_a_forest_that_verifies(tmp_path, capsys, text):
 def test_build_stats_file(tmp_path):
     gpath = tmp_path / "g.txt"
     tpath = tmp_path / "t.txt"
-    spath = tmp_path / "stats.txt"
+    spath = tmp_path / "stats.json"
     main(["gen", "gnm", "--n", "12", "--m", "20", "--q", "1:2", "--seed", "1", "--out", str(gpath)])
     assert main(["build", str(gpath), "--out", str(tpath), "--stats", str(spath)]) == 0
-    stats = dict(
-        line.split("=", 1) for line in spath.read_text().splitlines() if "=" in line
-    )
-    assert stats["algo"] == "ooag"
-    assert stats["n"] == "12"
-    assert int(stats["comparisons_A"]) >= 0
+    stats = json.loads(spath.read_text())
+    assert stats["mode"] == "ooag"
+    assert (stats["n"], stats["arcs"]) == (12, 40)
+    assert stats["comparisons_A"] >= 0
+    header, *lines = tpath.read_text().splitlines()
+    assert stats["edges"] == len(lines)
+    assert header.split() == ["12", str(stats["k"]), stats["total"], str(stats["rounds"])]
+    assert set(stats["phase_seconds"]) == {"fleet_build", "node_stage", "merge_rounds", "materialise"}
 
 
 def test_verify_rejects_a_tampered_tree(tmp_path, capsys):
@@ -261,14 +266,14 @@ def test_weight_beyond_int64_is_an_input_error(tmp_path, capsys, edges):
 def test_weight_with_many_decimal_places_round_trips(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     tpath = tmp_path / "t.txt"
-    spath = tmp_path / "stats.txt"
+    spath = tmp_path / "stats.json"
     tiny = "0." + "0" * 19999
     gpath.write_text("3 3\n0 1 1e-20000\n1 2 3e-20000\n0 2 5e-20000\n")
     assert main(["build", str(gpath), "--out", str(tpath), "--stats", str(spath)]) == 0
     lines = tpath.read_text().splitlines()
     assert lines[0].split()[2] == tiny + "4"
     assert lines[1:] == [f"0 1 {tiny}1", f"1 2 {tiny}3"]
-    assert f"total_weight={tiny}4" in spath.read_text()
+    assert json.loads(spath.read_text())["total"] == tiny + "4"
     assert main(["verify", str(gpath), str(tpath)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "OK"
 
@@ -278,14 +283,12 @@ def test_bench_exits_nonzero_when_a_row_fails(tmp_path, monkeypatch, capsys):
         raise RuntimeError("injected failure")
 
     monkeypatch.setattr(engine, "run", broken_run)
-    out = tmp_path / "bench.csv"
-    rc = main(["bench", "--grid", "4", "--algos", "ooag,kruskal", "--csv", str(out)])
+    out = tmp_path / "bench.json"
+    rc = main(["bench", "--grid", "4", "--algos", "ooag,kruskal", "--json", str(out)])
     assert rc == 1
-    rows = list(csv.DictReader(open(out, newline="")))
-    assert [(r["algo"], r["total_weight"] == "FAILED") for r in rows] == [
-        ("ooag", True),
-        ("kruskal", False),
-    ]
+    failed, ok = json.loads(out.read_text())["rows"]
+    assert failed == {"spec": ok["spec"], "mode": "ooag", "error": "injected failure"}
+    assert ok["mode"] == "kruskal" and "error" not in ok
     assert "injected failure" in capsys.readouterr().err
 
 
@@ -304,63 +307,80 @@ def test_bench_verifies_each_row_once(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(engine, "run", wrong_tree)
     monkeypatch.setattr(baselines, "minimality_witness", counted)
-    out = tmp_path / "bench.csv"
-    argv = ["bench", "--grid", "4", "--algos", "ooag,kruskal", "--repeats", "3", "--csv", str(out)]
+    out = tmp_path / "bench.json"
+    argv = ["bench", "--grid", "4", "--algos", "ooag,kruskal", "--repeats", "3", "--json", str(out)]
     assert main(argv) == 1
     assert checked == [15 - 1, 15]
-    with open(out, newline="") as fh:
-        assert next(csv.reader(fh)) == CSV_HEADER
-    rows = list(csv.DictReader(open(out, newline="")))
-    assert [(r["algo"], r["total_weight"] == "FAILED") for r in rows] == [
-        ("ooag", True),
-        ("kruskal", False),
-    ]
+    rows = json.loads(out.read_text())["rows"]
+    assert [(r["mode"], r.get("error")) for r in rows] == [("ooag", "not spanning"), ("kruskal", None)]
     assert "not spanning" in capsys.readouterr().err
 
 
-def test_bench_csv_shape(tmp_path):
-    out = tmp_path / "bench.csv"
-    rc = main(
-        [
-            "bench",
-            "--family",
-            "lattice",
-            "--grid",
-            "4,6",
-            "--algos",
-            "ooag,kruskal",
-            "--q",
-            "1:3",
-            "--csv",
-            str(out),
-        ]
-    )
-    assert rc == 0
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == CSV_HEADER
-    assert len(rows) == 1 + 2 * 2
-    body = list(csv.DictReader(open(out, newline="")))
+def test_bench_json_shape(tmp_path):
+    out = tmp_path / "bench.json"
+    argv = ["bench", "--family", "lattice", "--grid", "4,6", "--algos", "ooag,kruskal", "--q", "1:3"]
+    assert main([*argv, "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert set(doc) == {"env", "rows"}
+    assert set(doc["env"]) == {"python", "numpy", "nproc", "platform"}
+    rows = doc["rows"]
+    assert [(r["spec"].split(";")[1], r["mode"]) for r in rows] == [
+        ("p=4", "ooag"),
+        ("p=4", "kruskal"),
+        ("p=6", "ooag"),
+        ("p=6", "kruskal"),
+    ]
+    record = _run_algo(lattice8(4, weight_set=(1, 2, 3), seed=42), "ooag").record()
+    assert all(list(r) == ["spec", *record, "wall_s"] for r in rows)
     # ooag and kruskal must report the same spanning weight.
     by_spec = {}
-    for row in body:
-        by_spec.setdefault(row["spec"], set()).add(row["total_weight"])
+    for row in rows:
+        by_spec.setdefault(row["spec"], set()).add(row["total"])
     assert all(len(totals) == 1 for totals in by_spec.values())
 
 
 def test_bench_wall_time_covers_the_phases(tmp_path):
-    out = tmp_path / "bench.csv"
+    out = tmp_path / "bench.json"
     algos = ["ooag", "oag_then_merge", "koag_seeded", "boruvka", "kruskal"]
-    rc = main(["bench", "--grid", "12", "--algos", ",".join(algos), "--repeats", "3", "--csv", str(out)])
+    rc = main(["bench", "--grid", "12", "--algos", ",".join(algos), "--repeats", "3", "--json", str(out)])
     assert rc == 0
-    rows = list(csv.DictReader(open(out, newline="")))
-    assert [r["algo"] for r in rows] == algos
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["mode"] for r in rows] == algos
     for row in rows:
-        phases = sum(float(row[c]) for c in ("phase1_ms", "phase2_ms", "phase3_ms", "materialise_ms"))
-        if row["algo"] in engine.MODES + ("boruvka",):
-            assert 0 < phases <= float(row["wall_ms"]), row
+        wall = row["wall_s"]
+        assert 0 < wall["min"] <= wall["median"] <= wall["max"], row
+        phases = sum(row["phase_seconds"].values())
+        if row["mode"] == "kruskal":
+            assert row["phase_seconds"] == {}, row
         else:
-            assert row["phase3_ms"] == row["wall_ms"], row
+            assert 0 < phases <= wall["median"], row
+
+
+def test_every_algo_gives_a_plain_json_record():
+    g = lattice8(12, weight_set=tuple(range(1, 11)), seed=7)
+    for algo in ALL_ALGOS:
+        t0 = time.perf_counter()
+        rec = _run_algo(g, algo).record()
+        wall = time.perf_counter() - t0
+        assert json.loads(json.dumps(rec)) == rec, algo
+        assert rec["mode"] == algo
+        assert len(rec["per_round"]) == rec["rounds"], algo
+        assert rec["edges"] == g.n - 1, algo
+        if algo in ("kruskal", "prim"):
+            assert rec["phase_seconds"] == {}
+        else:
+            assert list(rec["phase_seconds"]) == ["fleet_build", "node_stage", "merge_rounds", "materialise"]
+            assert sum(rec["phase_seconds"].values()) <= wall, algo
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```")[1::2]
+    examples = [line for block in blocks for line in block.splitlines() if line.startswith("fleetmst ")]
+    assert any(line.startswith("fleetmst bench ") for line in examples)
+    parser = make_parser()
+    for line in examples:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 @pytest.mark.parametrize(
@@ -374,15 +394,15 @@ def test_bench_wall_time_covers_the_phases(tmp_path):
         ["gen", "lattice", "--p", "3", "--out", "{tmp}/missing/g.txt"],
         ["build", "{tmp}/g3.txt", "--out", "{tmp}/missing/t.txt"],
         ["build", "{tmp}/g3.txt", "--out", "{tmp}/t.txt", "--stats", "{tmp}/missing/s.txt"],
-        ["bench", "--grid", "3", "--csv", "{tmp}/missing/b.csv"],
-        ["bench", "--grid", "5,x", "--csv", "{tmp}/b.csv"],
-        ["bench", "--grid", "3", "--repeats", "0", "--csv", "{tmp}/b.csv"],
-        ["bench", "--family", "hypercube", "--grid", "3", "--csv", "{tmp}/b.csv"],
-        ["bench", "--grid", "3", "--algos", "foo", "--csv", "{tmp}/b.csv"],
-        ["bench", "--grid", "3", "--algos", "", "--csv", "{tmp}/b.csv"],
+        ["bench", "--grid", "3", "--json", "{tmp}/missing/b.json"],
+        ["bench", "--grid", "5,x", "--json", "{tmp}/b.json"],
+        ["bench", "--grid", "3", "--repeats", "0", "--json", "{tmp}/b.json"],
+        ["bench", "--family", "hypercube", "--grid", "3", "--json", "{tmp}/b.json"],
+        ["bench", "--grid", "3", "--algos", "foo", "--json", "{tmp}/b.json"],
+        ["bench", "--grid", "3", "--algos", "", "--json", "{tmp}/b.json"],
         # Sizes numpy refuses at once (728 TiB, beyond the address space).
         ["gen", "path", "--n", "99999999999999", "--out", "{tmp}/g.txt"],
-        ["bench", "--family", "path", "--grid", "99999999999999", "--csv", "{tmp}/b.csv"],
+        ["bench", "--family", "path", "--grid", "99999999999999", "--json", "{tmp}/b.json"],
         ["build", "{tmp}/huge.txt", "--out", "{tmp}/t.txt"],
         ["verify", "{tmp}/huge.txt", "{tmp}/g3.txt"],
         ["kvalue", "{tmp}/huge.txt"],
