@@ -93,10 +93,9 @@ def _run_algo(g, algo: str):
     return engine.run(g, mode=algo)
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+def _write_json(fh, obj) -> None:
+    json.dump(obj, fh, indent=1)
+    fh.write("\n")
 
 
 def cmd_build(args) -> int:
@@ -104,7 +103,8 @@ def cmd_build(args) -> int:
     result = _run_algo(g, args.algo)
     engine.write_tree(result, g.n, args.out)
     if args.stats:
-        _write_json(args.stats, {"n": g.n, "arcs": g.arc_count, **result.record()})
+        with open(args.stats, "w", encoding="utf-8") as fh:
+            _write_json(fh, {"n": g.n, "arcs": g.arc_count, **result.record()})
     print(f"{args.algo}: {len(result.edges)} edges, total {weight_text(result.total)}")
     return 0
 
@@ -178,23 +178,24 @@ def _bench_row(spec, algo, g, repeats) -> dict:
 def cmd_bench(args) -> int:
     rows = []
     failed = 0
-    for size in args.grid:
-        spec = _spec(args.family, size, size, args.m or 2 * size, args.q, args.seed)
-        g = spec.build()
-        for algo in args.algos:
-            try:
-                rows.append(_bench_row(spec, algo, g, args.repeats))
-            except Exception as exc:  # keep going, mark the row failed
-                print(f"warn: {spec.token()} {algo} failed: {exc}", file=sys.stderr)
-                rows.append({"spec": spec.token(), "mode": algo, "error": str(exc)})
-                failed += 1
-    env = {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "nproc": os.cpu_count(),
-        "platform": platform.platform(),
-    }
-    _write_json(args.json, {"env": env, "rows": rows})
+    with open(args.json, "w", encoding="utf-8") as out:  # a bad path fails before any row runs
+        for size in args.grid:
+            spec = _spec(args.family, size, size, args.m or 2 * size, args.q, args.seed)
+            g = spec.build()
+            for algo in args.algos:
+                try:
+                    rows.append(_bench_row(spec, algo, g, args.repeats))
+                except Exception as exc:  # keep going, mark the row failed
+                    print(f"warn: {spec.token()} {algo} failed: {exc}", file=sys.stderr)
+                    rows.append({"spec": spec.token(), "mode": algo, "error": str(exc)})
+                    failed += 1
+        env = {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "nproc": os.cpu_count(),
+            "platform": platform.platform(),
+        }
+        _write_json(out, {"env": env, "rows": rows})
     print(f"wrote {len(rows)} rows to {args.json}")
     if failed:
         print(f"error: {failed} of {len(rows)} rows failed", file=sys.stderr)

@@ -20,25 +20,29 @@ so a deep cluster costs little per level.
 ``mode="boruvka"`` skips the node stage (every node its own cluster),
 as a reference line.  The cluster stage then merges clusters
 Boruvka-style over one contracting edge list: the first round lists
-every edge that crosses two clusters once, in stored (smaller endpoint,
-larger endpoint) order, and gives each an int64 rank key whose order is
-(weight, smaller endpoint, larger endpoint), so nothing is sorted.  Each
-round every live cluster hooks onto its crossing edge with the least
-key, the hooks are flattened into fresh cluster ids, and the keys of
-edges now inside a cluster are dropped for good.  Dropping them (the
+every edge that crosses two clusters once, as its stored arc (a, b)
+with a < b, in arc order, which is (a, b) order.  A listed edge is three
+values: an int64 rank key ``rank(w) * 2m + arc``, whose order is
+(weight, a, b), so nothing is sorted, and whose ``key % 2m`` names the
+arc; and the round-local cluster ids (0..k-1) of its two ends, int32
+below 2**31 nodes.  Each round every live cluster hooks onto its
+crossing edge with the least key, reads that edge's ends off the graph,
+the hooks are flattened into fresh cluster ids, and the keys of edges
+now inside a cluster are dropped for good.  Dropping them (the
 melioration) only shrinks what later rounds examine; it never changes a
 choice.  With it off, the list keeps every edge and each round rescans
 all 2m arcs.
 
 Picked edges stay arrays, in the result too.  Every node-stage pick has
 the form "node z joins through p with weight mvc[z]", so the node stage
-only writes ``parent[z] = p``; each merge round appends the columns of
-the edges it chooses.  ``materialise`` sorts the two into one set of
-int64 columns, ``u < v``, sorted on (u, v), with scaled weights, and
-sums them exactly.  ``MstResult.edges`` is those columns as an
-``EdgeColumns``, which reads like the list of ``(u, v, w)`` tuples and
-which the verifier reads without building one; ``Forest.picked`` gives
-the same edges as ``(u, v, scaled w)`` tuples.
+only writes ``parent[z] = p``; each merge round appends the arcs of the
+edges it chooses.  ``materialise`` reads their ends and weights off the
+graph, sorts both kinds into one set of int64 columns, ``u < v``,
+sorted on (u, v), with scaled weights, and sums them exactly.
+``MstResult.edges`` is those columns as an ``EdgeColumns``, which reads
+like the list of ``(u, v, w)`` tuples and which the verifier reads
+without building one; ``Forest.picked`` gives the same edges as
+``(u, v, scaled w)`` tuples.
 
 ``perfbench/tracing.py`` re-drives ``run`` step by step, so these names
 keep their meaning: ``merge_round(g, forest)``; ``Forest.cluster_count``,
@@ -58,7 +62,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InconsistentModel, NoProgress
+from .errors import InconsistentModel, NoProgress, TooLarge
 from .fleet import FleetModel, _hook, _indptr, _jump, beam_components, build_fleet, half_beams
 from .graph import Graph, Weight, exact_sum, unscale, weight_text, write_edges
 
@@ -157,7 +161,8 @@ class Forest:
     records that the node stage joined z to its cluster through the edge
     {z, p} of weight ``mvc[z]`` (-1: no such pick).  The merge rounds
     assign ``cluster_of``, keep their contracting edge list here and
-    append the ends and weights of the edges they choose to ``merged``.
+    append the arcs (a, b), a < b, of the edges they choose to
+    ``merged``; the picked columns read ends and weights off the graph.
     Confined to a single execution context; not thread safe.
     """
 
@@ -169,20 +174,19 @@ class Forest:
         self.base = 0
         self.counter = int(cluster_of.max(initial=-1)) + 1
         self.rounds = 0
-        self.merged: list[tuple[np.ndarray, np.ndarray]] = []  # per round: ends (2, c), scaled w
+        self.merged: list[np.ndarray] = []  # per round: the chosen arcs
         self.done: set[int] = set()
         self.melioration = True
         self.comparisons = 0
         self.node_arc_touches = 0
         self.per_round: list[RoundStats] = []
-        # Merge-stage edge list.  The round-0 columns, never filtered:
-        # endpoints (2, L) with a < b and scaled weights.  The contracting
-        # list: rank keys in (w, a, b) order (key % L is the column) and
-        # the current cluster ids of their ends (2, keys).
-        self.edge_ends: Optional[np.ndarray] = None
-        self.edge_w: Optional[np.ndarray] = None
+        # Merge-stage edge list, three columns: int64 rank keys in
+        # (w, a, b) order (key % 2m is the arc (a, b)) and the round-local
+        # cluster ids (id - base) of each key's ends a and b, int32 when
+        # the graph has fewer than INT32_NODES nodes.
         self.edge_key: Optional[np.ndarray] = None
-        self.edge_labels: Optional[np.ndarray] = None
+        self.label_a: Optional[np.ndarray] = None
+        self.label_b: Optional[np.ndarray] = None
 
     # -- cluster ids -----------------------------------------------------
 
@@ -195,14 +199,15 @@ class Forest:
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ends u < v and scaled weights of the picked edges as int64
         columns, sorted on (u, v)."""
+        g = self.graph
         z = np.flatnonzero(self.parent >= 0)
         p = self.parent[z]
-        ends = np.concatenate(
-            [np.stack((np.minimum(z, p), np.maximum(z, p)))] + [e for e, _ in self.merged], axis=1
-        )
-        w = np.concatenate([self.mvc[z]] + [w for _, w in self.merged])
-        order = np.argsort(ends[0] * self.graph.n + ends[1])  # < 2**63: n <= MAX_NODES
-        return ends[0, order], ends[1, order], w[order]
+        arcs = np.concatenate([np.empty(0, dtype=np.int64), *self.merged])
+        u = np.concatenate((np.minimum(z, p), g.arc_sources()[arcs]))
+        v = np.concatenate((np.maximum(z, p), g.leaves[arcs]))
+        w = np.concatenate((self.mvc[z], g.weights[arcs]))
+        order = np.argsort(u * g.n + v)  # < 2**63: n <= MAX_NODES
+        return u[order], v[order], w[order]
 
     @property
     def picked(self) -> list[tuple[int, int, int]]:
@@ -516,29 +521,43 @@ def inheritance_stage(g: Graph, f: FleetModel) -> Forest:
 # ---------------------------------------------------------------------------
 
 _NO_KEY = np.iinfo(np.int64).max  # above every rank key
+INT32_NODES = 2**31  # below this many nodes, round-local cluster ids are int32
 
 
 def _build_edge_list(g: Graph, forest: Forest) -> None:
-    """Every edge once as (a, b) with a < b, in stored arc order, which
-    is (a, b) order; with melioration on, only the edges that cross
-    clusters.  Edge i of the L listed gets the rank key (w - wmin) * L + i,
-    so keys order the edges by (w, a, b).  When that key range does not
-    fit in int64, dense weight ranks stand in for w - wmin."""
+    """Every edge once, as its arc (a, b) with a < b, in stored arc order,
+    which is (a, b) order; with melioration on, only the edges that cross
+    clusters.  The edge of arc i gets the rank key (w - wmin) * 2m + i, so
+    keys order the edges by (w, a, b) and ``key % 2m`` names the arc.
+    When that key range does not fit in int64, dense weight ranks stand
+    in for w - wmin; those keep every key below distinct weights * 2m <=
+    2m * m, which fits while m < 2**31, so a graph of 2**31 edges or more
+    that needs them is TooLarge rather than given wrapped keys.
+    Each key's ends get their round-local cluster ids (base is 0 before
+    the first round), int32 while ids allow: the 2m-wide gathers are the
+    largest arrays of the merge stage, and half as wide they are cheaper
+    to fill."""
     src = g.arc_sources()
-    cl = forest.cluster_of
+    arcs = g.arc_count
+    cl = forest.cluster_of.astype(np.int32 if g.n < INT32_NODES else np.int64)
+    ca, cb = cl[src], cl[g.leaves]
     keep = src < g.leaves
     if forest.melioration:
-        keep &= cl[src] != cl[g.leaves]
+        keep &= ca != cb
     keep = np.flatnonzero(keep)  # index gathers beat mask gathers here
-    forest.edge_ends = np.stack((src[keep], g.leaves[keep]))
-    forest.edge_w = w = g.weights[keep]
-    forest.edge_labels = cl[forest.edge_ends]
-    lo, hi = (int(w.min()), int(w.max())) if w.size else (0, 0)
-    if (hi - lo + 1) * w.size <= _NO_KEY:
-        rank = w - lo
+    forest.label_a, forest.label_b = ca[keep], cb[keep]
+    del ca, cb  # the key column can reuse their memory
+    key = g.weights[keep]
+    lo, hi = (int(key.min()), int(key.max())) if key.size else (0, 0)
+    if (hi - lo + 1) * arcs <= _NO_KEY:
+        key -= lo
+    elif arcs < 2**32:
+        key = np.unique(key, return_inverse=True)[1]
     else:
-        rank = np.unique(w, return_inverse=True)[1]
-    forest.edge_key = rank * w.size + np.arange(w.size)
+        raise TooLarge(f"{arcs // 2} edges with such wide weights overflow the int64 rank keys")
+    key *= arcs
+    key += keep
+    forest.edge_key = key
 
 
 def merge_round(g: Graph, forest: Forest) -> Forest:
@@ -550,56 +569,64 @@ def merge_round(g: Graph, forest: Forest) -> Forest:
     pointer jumping flattens the hooks, and roots get fresh ids from the
     counter.  Clusters without a crossing edge are Done.  The round
     counts the arcs it examines: all 2m when it builds the list, else
-    twice the keys left in it.  With melioration on, the keys of edges
-    that end up inside a cluster are dropped for good; off, every round
-    rescans all.
+    twice the keys it weighs.  With melioration on, each round first
+    drops for good the keys of edges that ended up inside a cluster, so
+    it weighs crossing edges only; off, every round rescans all.
     """
     t0 = time.perf_counter()
-    if forest.edge_ends is None:
+    arcs = g.arc_count
+    if forest.edge_key is None:
         _build_edge_list(g, forest)
-        scanned = g.arc_count
+        scanned = arcs
     else:
+        if forest.melioration:
+            keep = np.flatnonzero(forest.label_a != forest.label_b)
+            forest.edge_key = forest.edge_key[keep]
+            forest.label_a = forest.label_a[keep]
+            forest.label_b = forest.label_b[keep]
         scanned = 2 * forest.edge_key.size
     forest.comparisons += scanned
 
     base, k = forest.base, forest.cluster_count
-    lab = forest.edge_labels - base
-    live = lab[0] != lab[1]
-    if not live.any():
+    la, lb = forest.label_a, forest.label_b
+    if forest.melioration:
+        live = la.size > 0
+        key = forest.edge_key
+    else:
+        crossing = la != lb
+        live = crossing.any()
+        key = np.where(crossing, forest.edge_key, _NO_KEY)
+    if not live:
         forest.done = set(range(base, forest.counter))
         return forest
 
     # Least crossing key per cluster; _NO_KEY marks none.
-    key = np.where(live, forest.edge_key, _NO_KEY)
     best = np.full(k, _NO_KEY, dtype=np.int64)
-    np.minimum.at(best, lab[0], key)
-    np.minimum.at(best, lab[1], key)
+    np.minimum.at(best, la, key)
+    np.minimum.at(best, lb, key)
     ids = np.arange(k)
     hooked = best < _NO_KEY
-    col = best % forest.edge_w.size  # the chosen edge's round-0 column
+    arc = best % arcs  # the chosen edge's arc (a, b)
     parent = ids.copy()
-    ends = forest.cluster_of[forest.edge_ends[:, col[hooked]]] - base
-    parent[hooked] = np.where(ends[0] == ids[hooked], ends[1], ends[0])
+    h = arc[hooked]
+    ea = forest.cluster_of[g.arc_sources()[h]] - base
+    eb = forest.cluster_of[g.leaves[h]] - base
+    parent[hooked] = np.where(ea == ids[hooked], eb, ea)
     mutual = (parent[parent] == ids) & (ids < parent)
     parent[mutual] = ids[mutual]
-    child = parent != ids
-    e = col[child]
-    forest.merged.append((forest.edge_ends[:, e], forest.edge_w[e]))
+    forest.merged.append(arc[parent != ids])
     parent = _jump(parent)
 
     roots = np.flatnonzero(parent == ids)
-    fresh = np.empty(k, dtype=np.int64)
-    fresh[roots] = forest.counter + np.arange(roots.size)
-    fresh = fresh[parent]
-    forest.cluster_of = fresh[forest.cluster_of - base]
-    forest.edge_labels = fresh[lab]
-    forest.done = set(fresh[~hooked].tolist())
+    fresh = np.empty(k, dtype=la.dtype)
+    fresh[roots] = np.arange(roots.size)
+    fresh = fresh[parent]  # round-local ids of the next round
+    fresh_ids = np.add(fresh, forest.counter, dtype=np.int64)
+    forest.cluster_of = fresh_ids[forest.cluster_of - base]
+    forest.label_a, forest.label_b = fresh[la], fresh[lb]
+    forest.done = set(fresh_ids[~hooked].tolist())
     forest.base = forest.counter
     forest.counter += roots.size
-    if forest.melioration:
-        keep = np.flatnonzero(forest.edge_labels[0] != forest.edge_labels[1])
-        forest.edge_key = forest.edge_key[keep]
-        forest.edge_labels = forest.edge_labels[:, keep]
 
     forest.rounds += 1
     forest.per_round.append(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fleetmst import baselines, engine, kernels
+from fleetmst import baselines, cli, engine, kernels
 from fleetmst.cli import ALL_ALGOS, _read_tree, _run_algo, main, make_parser
 from fleetmst.errors import ParseError
 from fleetmst.generators import lattice8
@@ -314,6 +314,17 @@ def test_bench_verifies_each_row_once(tmp_path, monkeypatch, capsys):
     rows = json.loads(out.read_text())["rows"]
     assert [(r["mode"], r.get("error")) for r in rows] == [("ooag", "not spanning"), ("kruskal", None)]
     assert "not spanning" in capsys.readouterr().err
+
+
+def test_bench_output_is_checked_before_any_row_runs(tmp_path, monkeypatch, capsys):
+    def no_row(g, algo):
+        pytest.fail("a bench row ran before the output was opened")
+
+    monkeypatch.setattr(cli, "_run_algo", no_row)
+    out = tmp_path / "missing" / "bench.json"
+    assert main(["bench", "--grid", "4", "--algos", "ooag,kruskal", "--json", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
 
 
 def test_bench_json_shape(tmp_path):

@@ -14,10 +14,10 @@ from fleetmst.engine import (
     run,
     write_tree,
 )
-from fleetmst.errors import InconsistentModel
+from fleetmst.errors import InconsistentModel, TooLarge
 from fleetmst.fleet import build_fleet
 from fleetmst.generators import lattice8, random_gnm
-from fleetmst.graph import build_graph, decimal_places, format_weight, graph_from_arrays
+from fleetmst.graph import Graph, build_graph, decimal_places, format_weight, graph_from_arrays
 from fleetmst.kernels import detect_kernels, koag_seed
 from oracles import bench_lattices, columns_of, sequential_stage
 
@@ -350,14 +350,19 @@ def test_first_edge_list_holds_only_crossing_edges():
         cl = listed.cluster_of
         crossing = int(((src < g.leaves) & (cl[src] != cl[g.leaves])).sum())
         engine._build_edge_list(g, listed)
-        lab = listed.edge_labels
         if melioration:
-            assert listed.edge_w.size == crossing > 0
-            assert (lab[0] != lab[1]).all()
+            assert listed.edge_key.size == crossing > 0
+            assert (listed.label_a != listed.label_b).all()
         else:
-            assert listed.edge_w.size == g.m > crossing
+            assert listed.edge_key.size == g.m > crossing
         merge_round(g, stepped)
         assert stepped.per_round[0].arcs_scanned == 2 * g.m
+
+
+def singletons(g):
+    """A forest of g before its first merge round, every node its own
+    cluster (as under ``mode="boruvka"``)."""
+    return engine.Forest(g, np.arange(g.n), np.full(g.n, -1), np.zeros(0, dtype=np.int64))
 
 
 def wide_weight_graphs():
@@ -385,9 +390,11 @@ def test_rank_keys_fall_back_to_dense_ranks_on_wide_weights():
     another minimum tree, so those are checked by total and certificate;
     with distinct weights the tree is unique."""
     for g, distinct in wide_weight_graphs():
-        forest = engine.Forest(g, np.arange(g.n), np.full(g.n, -1), np.zeros(0, dtype=np.int64))
+        forest = singletons(g)
         engine._build_edge_list(g, forest)
-        (a, b), w = forest.edge_ends, forest.edge_w
+        arc = forest.edge_key % g.arc_count
+        a, b, w = g.arc_sources()[arc], g.leaves[arc], g.weights[arc]
+        assert (a < b).all() and np.unique(arc).size == g.m
         assert np.array_equal(np.argsort(forest.edge_key), np.lexsort((b, a, w)))
         ref = kruskal(g)
         for mode in engine.MODES + ("boruvka",):
@@ -399,22 +406,99 @@ def test_rank_keys_fall_back_to_dense_ranks_on_wide_weights():
                 assert on.edges == ref.edges, mode
 
 
-# ooag's merge stage on each benchmark lattice: rounds, A and per round
-# (clusters_before, clusters_after, arcs_scanned).
-OOAG_MERGES = [
-    (5, 515376, ((8592, 1738, 317604), (1738, 309, 116804), (309, 26, 57764), (26, 3, 20144), (3, 1, 3060))),
-    (5, 514390, ((8558, 1698, 317604), (1698, 302, 115702), (302, 30, 59216), (30, 2, 19570), (2, 1, 2298))),
-    (5, 523280, ((8563, 1721, 317604), (1721, 335, 116720), (335, 35, 61518), (35, 3, 23202), (3, 1, 4236))),
-    (4, 510178, ((8560, 1722, 317604), (1722, 299, 116054), (299, 28, 56898), (28, 1, 19622))),
+def test_dense_rank_keys_refuse_two_to_the_31_edges(monkeypatch):
+    """Dense-rank keys stay below distinct weights * 2m <= 2m * m, which
+    fits in int64 only while m < 2**31; past that the list build is
+    TooLarge instead of wrapping.  No such graph fits in a test, so the
+    arc count is faked; weights 1..10 keep the offset keys and fit."""
+    wide = wide_weight_graphs()[0][0]
+    narrow = random_gnm(50, 120, tuple(range(1, 11)), seed=3)
+    monkeypatch.setattr(Graph, "arc_count", property(lambda g: 2**32))
+    with pytest.raises(TooLarge):
+        engine._build_edge_list(wide, singletons(wide))
+    engine._build_edge_list(narrow, singletons(narrow))
+    monkeypatch.setattr(Graph, "arc_count", property(lambda g: 2**32 - 2))
+    forest = singletons(wide)
+    engine._build_edge_list(wide, forest)
+    arc = forest.edge_key % (2**32 - 2)
+    a, b, w = wide.arc_sources()[arc], wide.leaves[arc], wide.weights[arc]
+    assert np.array_equal(np.argsort(forest.edge_key), np.lexsort((b, a, w)))
+
+
+def test_int64_labels_pick_the_same_forest(monkeypatch):
+    """From 2**31 nodes up the list keeps int64 cluster labels; on graphs
+    of any size, both widths give the same edges, rounds and A."""
+
+    def outcome(g, mode, melioration):
+        res = run(g, mode=mode, melioration=melioration)
+        stats = [(s.clusters_before, s.clusters_after, s.arcs_scanned) for s in res.per_round]
+        return res.edges, res.total, res.rounds, res.comparisons, stats
+
+    graphs = [lattice8(30, tuple(range(1, 11)), seed=5)] + [g for g, _ in wide_weight_graphs()[:2]]
+    cases = [(g, mode, mel) for g in graphs for mode in ("ooag", "boruvka") for mel in (True, False)]
+    narrow = [outcome(*case) for case in cases]
+    monkeypatch.setattr(engine, "INT32_NODES", 0)
+    forest = singletons(graphs[0])
+    engine._build_edge_list(graphs[0], forest)
+    assert forest.label_a.dtype == forest.label_b.dtype == np.int64
+    assert [outcome(*case) for case in cases] == narrow
+
+
+# The merge stage on each benchmark lattice, per (mode, melioration):
+# rounds, A and per round (clusters_before, clusters_after, arcs_scanned).
+Q2_MERGES = [
     (1, 317604, ((8, 1, 317604),)),
     (1, 317604, ((12, 1, 317604),)),
     (1, 317604, ((4, 1, 317604),)),
     (1, 317604, ((9, 1, 317604),)),
 ]
+MERGE_STAGES = {
+    ("ooag", True): [
+        (5, 515376, ((8592, 1738, 317604), (1738, 309, 116804), (309, 26, 57764), (26, 3, 20144), (3, 1, 3060))),
+        (5, 514390, ((8558, 1698, 317604), (1698, 302, 115702), (302, 30, 59216), (30, 2, 19570), (2, 1, 2298))),
+        (5, 523280, ((8563, 1721, 317604), (1721, 335, 116720), (335, 35, 61518), (35, 3, 23202), (3, 1, 4236))),
+        (4, 510178, ((8560, 1722, 317604), (1722, 299, 116054), (299, 28, 56898), (28, 1, 19622))),
+        *Q2_MERGES,
+    ],
+    ("ooag", False): [
+        (5, 1588020, ((8592, 1738, 317604), (1738, 309, 317604), (309, 26, 317604), (26, 3, 317604), (3, 1, 317604))),
+        (5, 1588020, ((8558, 1698, 317604), (1698, 302, 317604), (302, 30, 317604), (30, 2, 317604), (2, 1, 317604))),
+        (5, 1588020, ((8563, 1721, 317604), (1721, 335, 317604), (335, 35, 317604), (35, 3, 317604), (3, 1, 317604))),
+        (4, 1270416, ((8560, 1722, 317604), (1722, 299, 317604), (299, 28, 317604), (28, 1, 317604))),
+        *Q2_MERGES,
+    ],
+    ("oag_then_merge", True): [
+        (5, 518304, ((8733, 1778, 317604), (1778, 317, 117960), (317, 29, 58590), (29, 3, 21098), (3, 1, 3052))),
+        (5, 518780, ((8669, 1731, 317604), (1731, 310, 116654), (310, 33, 59946), (33, 3, 21342), (3, 1, 3234))),
+        (5, 524366, ((8672, 1762, 317604), (1762, 340, 117876), (340, 34, 61782), (34, 3, 22858), (3, 1, 4246))),
+        (4, 512230, ((8684, 1761, 317604), (1761, 307, 117024), (307, 29, 57504), (29, 1, 20098))),
+        *Q2_MERGES,
+    ],
+    ("koag_seeded", True): [
+        (5, 508396, ((8198, 1608, 317604), (1608, 282, 113292), (282, 25, 55764), (25, 4, 17334), (4, 1, 4402))),
+        (5, 507670, ((8256, 1582, 317604), (1582, 279, 113154), (279, 21, 57966), (21, 2, 16632), (2, 1, 2314))),
+        (5, 516122, ((8198, 1598, 317604), (1598, 312, 113222), (312, 30, 59826), (30, 3, 21240), (3, 1, 4230))),
+        (4, 503660, ((8209, 1611, 317604), (1611, 270, 112878), (270, 25, 54482), (25, 1, 18696))),
+        *Q2_MERGES,
+    ],
+    ("boruvka", True): [
+        (6, 761216, ((40000, 9564, 317604), (9564, 2118, 220226), (2118, 399, 127538), (399, 47, 64376), (47, 4, 27052), (4, 1, 4420))),
+        (6, 766850, ((40000, 9605, 317604), (9605, 2097, 220798), (2097, 427, 127216), (427, 59, 68038), (59, 4, 28430), (4, 1, 4764))),
+        (6, 768350, ((40000, 9507, 317604), (9507, 2089, 219518), (2089, 436, 127270), (436, 59, 68464), (59, 5, 29134), (5, 1, 6360))),
+        (5, 753234, ((40000, 9561, 317604), (9561, 2094, 219674), (2094, 394, 126680), (394, 45, 64218), (45, 1, 25058))),
+        (5, 440614, ((40000, 718, 317604), (718, 27, 92944), (27, 5, 22768), (5, 2, 5708), (2, 1, 1590))),
+        (5, 443532, ((40000, 731, 317604), (731, 31, 94356), (31, 6, 22412), (6, 2, 7304), (2, 1, 1856))),
+        (4, 435034, ((40000, 725, 317604), (725, 28, 90572), (28, 5, 21238), (5, 1, 5620))),
+        (5, 443966, ((40000, 703, 317604), (703, 23, 90814), (23, 7, 22540), (7, 2, 10704), (2, 1, 2304))),
+    ],
+}
 
 
 def test_ooag_merge_stage_is_pinned_on_the_bench_lattices():
-    for g, want in zip(bench_lattices(), OOAG_MERGES):
-        res = run(g, mode="ooag")
-        stats = tuple((s.clusters_before, s.clusters_after, s.arcs_scanned) for s in res.per_round)
-        assert (res.rounds, res.comparisons, stats) == want
+    """Every mode's merge stage, and ooag's without melioration too."""
+    graphs = bench_lattices()
+    for (mode, melioration), pins in MERGE_STAGES.items():
+        for g, want in zip(graphs, pins):
+            res = run(g, mode=mode, melioration=melioration)
+            stats = tuple((s.clusters_before, s.clusters_after, s.arcs_scanned) for s in res.per_round)
+            assert (res.rounds, res.comparisons, stats) == want, (mode, melioration)
