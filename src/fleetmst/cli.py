@@ -178,7 +178,9 @@ def _bench_row(spec, algo, g, repeats) -> dict:
 def cmd_bench(args) -> int:
     rows = []
     failed = 0
-    with open(args.json, "w", encoding="utf-8") as out:  # a bad path fails before any row runs
+    # "a" fails on a bad path before any row runs, yet leaves an existing
+    # record as it was until every row is done.
+    with open(args.json, "a", encoding="utf-8") as out:
         for size in args.grid:
             spec = _spec(args.family, size, size, args.m or 2 * size, args.q, args.seed)
             g = spec.build()
@@ -195,6 +197,7 @@ def cmd_bench(args) -> int:
             "nproc": os.cpu_count(),
             "platform": platform.platform(),
         }
+        out.truncate(0)
         _write_json(out, {"env": env, "rows": rows})
     print(f"wrote {len(rows)} rows to {args.json}")
     if failed:

@@ -24,11 +24,11 @@ every edge that crosses two clusters once, as its stored arc (a, b)
 with a < b, in arc order, which is (a, b) order.  A listed edge is three
 values: an int64 rank key ``rank(w) * 2m + arc``, whose order is
 (weight, a, b), so nothing is sorted, and whose ``key % 2m`` names the
-arc; and the round-local cluster ids (0..k-1) of its two ends, int32
-below 2**31 nodes.  Each round every live cluster hooks onto its
-crossing edge with the least key, reads that edge's ends off the graph,
-the hooks are flattened into fresh cluster ids, and the keys of edges
-now inside a cluster are dropped for good.  Dropping them (the
+arc; and the round-local cluster ids (0..k-1) of its two ends, uint32
+(k <= n <= MAX_NODES < 2**32).  Each round every live cluster hooks
+onto its crossing edge with the least key, reads that edge's ends off
+the graph, the hooks are flattened into fresh cluster ids, and the keys
+of edges now inside a cluster are dropped for good.  Dropping them (the
 melioration) only shrinks what later rounds examine; it never changes a
 choice.  With it off, the list keeps every edge and each round rescans
 all 2m arcs.
@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import InconsistentModel, NoProgress, TooLarge
 from .fleet import FleetModel, _hook, _indptr, _jump, beam_components, build_fleet, half_beams
-from .graph import Graph, Weight, exact_sum, unscale, weight_text, write_edges
+from .graph import MAX_NODES, Graph, Weight, exact_sum, unscale, weight_text, write_edges
 
 MODES = ("oag_then_merge", "ooag", "koag_seeded")
 
@@ -182,8 +182,7 @@ class Forest:
         self.per_round: list[RoundStats] = []
         # Merge-stage edge list, three columns: int64 rank keys in
         # (w, a, b) order (key % 2m is the arc (a, b)) and the round-local
-        # cluster ids (id - base) of each key's ends a and b, int32 when
-        # the graph has fewer than INT32_NODES nodes.
+        # cluster ids (id - base) of each key's ends a and b, uint32.
         self.edge_key: Optional[np.ndarray] = None
         self.label_a: Optional[np.ndarray] = None
         self.label_b: Optional[np.ndarray] = None
@@ -521,7 +520,7 @@ def inheritance_stage(g: Graph, f: FleetModel) -> Forest:
 # ---------------------------------------------------------------------------
 
 _NO_KEY = np.iinfo(np.int64).max  # above every rank key
-INT32_NODES = 2**31  # below this many nodes, round-local cluster ids are int32
+assert MAX_NODES < 2**32  # round-local cluster ids fit the uint32 labels
 
 
 def _build_edge_list(g: Graph, forest: Forest) -> None:
@@ -530,16 +529,16 @@ def _build_edge_list(g: Graph, forest: Forest) -> None:
     clusters.  The edge of arc i gets the rank key (w - wmin) * 2m + i, so
     keys order the edges by (w, a, b) and ``key % 2m`` names the arc.
     When that key range does not fit in int64, dense weight ranks stand
-    in for w - wmin; those keep every key below distinct weights * 2m <=
-    2m * m, which fits while m < 2**31, so a graph of 2**31 edges or more
-    that needs them is TooLarge rather than given wrapped keys.
+    in for w - wmin; those keep every key below distinct weights * 2m,
+    and a graph where even that overflows int64 is TooLarge rather than
+    given wrapped keys.
     Each key's ends get their round-local cluster ids (base is 0 before
-    the first round), int32 while ids allow: the 2m-wide gathers are the
-    largest arrays of the merge stage, and half as wide they are cheaper
-    to fill."""
+    the first round) as uint32: ids stay below n <= MAX_NODES < 2**32,
+    and the 2m-wide gathers, the largest arrays of the merge stage, are
+    cheaper to fill half as wide."""
     src = g.arc_sources()
     arcs = g.arc_count
-    cl = forest.cluster_of.astype(np.int32 if g.n < INT32_NODES else np.int64)
+    cl = forest.cluster_of.astype(np.uint32)
     ca, cb = cl[src], cl[g.leaves]
     keep = src < g.leaves
     if forest.melioration:
@@ -551,10 +550,10 @@ def _build_edge_list(g: Graph, forest: Forest) -> None:
     lo, hi = (int(key.min()), int(key.max())) if key.size else (0, 0)
     if (hi - lo + 1) * arcs <= _NO_KEY:
         key -= lo
-    elif arcs < 2**32:
-        key = np.unique(key, return_inverse=True)[1]
     else:
-        raise TooLarge(f"{arcs // 2} edges with such wide weights overflow the int64 rank keys")
+        ranks, key = np.unique(key, return_inverse=True)
+        if ranks.size * arcs > _NO_KEY:
+            raise TooLarge(f"{ranks.size} distinct weights on {arcs // 2} edges overflow the int64 rank keys")
     key *= arcs
     key += keep
     forest.edge_key = key

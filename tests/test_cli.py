@@ -327,6 +327,17 @@ def test_bench_output_is_checked_before_any_row_runs(tmp_path, monkeypatch, caps
     assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
 
 
+def test_bench_that_stops_early_keeps_the_old_record(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    out.write_text('{"old": "record"}\n')
+    argv = ["bench", "--family", "path", "--grid", "99999999999999", "--json", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_text() == '{"old": "record"}\n'
+    assert main(["bench", "--grid", "3", "--algos", "kruskal", "--json", str(out)]) == 0
+    assert [row["mode"] for row in json.loads(out.read_text())["rows"]] == ["kruskal"]
+
+
 def test_bench_json_shape(tmp_path):
     out = tmp_path / "bench.json"
     argv = ["bench", "--family", "lattice", "--grid", "4,6", "--algos", "ooag,kruskal", "--q", "1:3"]

@@ -406,42 +406,30 @@ def test_rank_keys_fall_back_to_dense_ranks_on_wide_weights():
                 assert on.edges == ref.edges, mode
 
 
-def test_dense_rank_keys_refuse_two_to_the_31_edges(monkeypatch):
-    """Dense-rank keys stay below distinct weights * 2m <= 2m * m, which
-    fits in int64 only while m < 2**31; past that the list build is
-    TooLarge instead of wrapping.  No such graph fits in a test, so the
-    arc count is faked; weights 1..10 keep the offset keys and fit."""
-    wide = wide_weight_graphs()[0][0]
+def test_dense_rank_keys_are_refused_only_when_they_overflow(monkeypatch):
+    """Dense-rank keys stay below distinct weights * 2m, so the list build
+    is TooLarge only when that product passes int64: 2**31 edges or more
+    with few distinct wide weights still fit.  No such graph fits in a
+    test, so the arc count is faked."""
+
+    def assert_key_order(g, arcs):
+        forest = singletons(g)
+        engine._build_edge_list(g, forest)
+        arc = forest.edge_key % arcs
+        a, b, w = g.arc_sources()[arc], g.leaves[arc], g.weights[arc]
+        assert np.array_equal(np.argsort(forest.edge_key), np.lexsort((b, a, w)))
+
+    (ties, _), (distinct, _) = wide_weight_graphs()[:2]
     narrow = random_gnm(50, 120, tuple(range(1, 11)), seed=3)
     monkeypatch.setattr(Graph, "arc_count", property(lambda g: 2**32))
+    assert_key_order(narrow, 2**32)  # offset keys
+    assert_key_order(ties, 2**32)  # dense ranks of 4 weights
+    fits = engine._NO_KEY // np.unique(distinct.weights).size
+    monkeypatch.setattr(Graph, "arc_count", property(lambda g: fits + 1))
     with pytest.raises(TooLarge):
-        engine._build_edge_list(wide, singletons(wide))
-    engine._build_edge_list(narrow, singletons(narrow))
-    monkeypatch.setattr(Graph, "arc_count", property(lambda g: 2**32 - 2))
-    forest = singletons(wide)
-    engine._build_edge_list(wide, forest)
-    arc = forest.edge_key % (2**32 - 2)
-    a, b, w = wide.arc_sources()[arc], wide.leaves[arc], wide.weights[arc]
-    assert np.array_equal(np.argsort(forest.edge_key), np.lexsort((b, a, w)))
-
-
-def test_int64_labels_pick_the_same_forest(monkeypatch):
-    """From 2**31 nodes up the list keeps int64 cluster labels; on graphs
-    of any size, both widths give the same edges, rounds and A."""
-
-    def outcome(g, mode, melioration):
-        res = run(g, mode=mode, melioration=melioration)
-        stats = [(s.clusters_before, s.clusters_after, s.arcs_scanned) for s in res.per_round]
-        return res.edges, res.total, res.rounds, res.comparisons, stats
-
-    graphs = [lattice8(30, tuple(range(1, 11)), seed=5)] + [g for g, _ in wide_weight_graphs()[:2]]
-    cases = [(g, mode, mel) for g in graphs for mode in ("ooag", "boruvka") for mel in (True, False)]
-    narrow = [outcome(*case) for case in cases]
-    monkeypatch.setattr(engine, "INT32_NODES", 0)
-    forest = singletons(graphs[0])
-    engine._build_edge_list(graphs[0], forest)
-    assert forest.label_a.dtype == forest.label_b.dtype == np.int64
-    assert [outcome(*case) for case in cases] == narrow
+        engine._build_edge_list(distinct, singletons(distinct))
+    monkeypatch.setattr(Graph, "arc_count", property(lambda g: fits))
+    assert_key_order(distinct, fits)
 
 
 # The merge stage on each benchmark lattice, per (mode, melioration):
