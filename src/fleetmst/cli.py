@@ -99,6 +99,11 @@ def _write_json(fh, obj) -> None:
 
 
 def cmd_build(args) -> int:
+    # Opening with "a" fails on a bad path before the graph is read, yet
+    # leaves an existing file as it was; each is rewritten once the run
+    # is done.
+    for path in filter(None, (args.out, args.stats)):
+        open(path, "a", encoding="utf-8").close()
     g = read_graph(args.input)
     result = _run_algo(g, args.algo)
     engine.write_tree(result, g.n, args.out)

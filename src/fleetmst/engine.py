@@ -14,9 +14,14 @@ over all clusters.  Hooking and pointer jumping end within O(log n)
 rounds; the founder rounds and label passes need not (founding order
 is a lexicographically first greedy choice, and the DAG can be deep),
 so each has a budget, past which one ascending pass
-(``_claim_upstream``) finishes exactly.  The BFS has no budget: a
+(``_claim_upstream``) finishes exactly.  The founder rounds are an
+alternating fixpoint whose fresh sets nest, so each starts warm from
+the labels of the last odd round; under ``ooag`` only each beam
+component's smallest member nominates.  The BFS has no budget: a
 level with a small frontier is expanded in Python (``_small_level``),
-so a deep cluster costs little per level.
+so a deep cluster costs little per level, and a larger one claims by
+one max-scatter of stamps that fall in arc order, an arc that leaves
+its cluster stamped -1, with no compaction.
 ``mode="boruvka"`` skips the node stage (every node its own cluster),
 as a reference line.  The cluster stage then merges clusters
 Boruvka-style over one contracting edge list: the first round lists
@@ -266,7 +271,10 @@ def _forward_arcs(f: FleetModel) -> tuple[np.ndarray, np.ndarray]:
 def _settle(m: np.ndarray, src: np.ndarray, dst: np.ndarray) -> bool:
     """Lower each m to the least m downstream of it along the acyclic
     arcs src -> dst, in place, by synchronous passes; False when that
-    takes more than MAX_LABEL_PASSES passes."""
+    takes more than MAX_LABEL_PASSES passes.  Any start settles to the
+    least seed downstream as long as each label is n or the value of
+    some seed downstream of it, so a round may start warm, from an
+    earlier round's settled labels plus its added seeds."""
     for _ in range(MAX_LABEL_PASSES):
         val = m[dst]
         lower = val < m[src]
@@ -312,14 +320,24 @@ def _founders(
     founder of the earliest-founded component downstream of it.  The
     fixpoint of: c(B) is the smallest fresh nominator of B; m(u) is the
     least c downstream of u; v (whose component is ``home``) is fresh iff
-    m(v) >= v.  Past a budget, nominators in ascending order found while
-    their home is unclaimed, each claiming upstream of its nominee."""
+    m(v) >= v.  Whether v founds depends only on the founders below v,
+    so the fixpoint is unique.  The rounds F -> now(F) from every
+    nominator form an alternating fixpoint (Van Gelder): now is
+    antitone, so the fresh sets nest, F1 <= F3 <= ... <= F4 <= F2 <= F0,
+    and each round starts warm from the settled labels of the last odd
+    round, seeding only the nominators added since (``_settle``).  Past
+    a budget, nominators in ascending order found while their home is
+    unclaimed, each claiming upstream of its nominee."""
     fresh = np.ones(nominators.size, dtype=bool)
-    for _ in range(MAX_FOUNDER_ROUNDS):
-        m = np.full(n, n)
-        np.minimum.at(m, nominee[fresh], nominators[fresh])
+    odd, labels = np.zeros(nominators.size, dtype=bool), np.full(n, n)  # the last odd round
+    for r in range(MAX_FOUNDER_ROUNDS):
+        m = labels if r % 2 else labels.copy()
+        add = fresh & ~odd
+        np.minimum.at(m, nominee[add], nominators[add])
         if not _settle(m, *down):
             break
+        if r % 2:
+            odd = fresh
         now = m[home] >= nominators
         if np.array_equal(now, fresh):
             return nominators[fresh], m
@@ -328,16 +346,19 @@ def _founders(
     return nominators[took], m
 
 
+_CLAIMED = np.iinfo(np.int64).max  # a reaped node's claim, above every stamp
+
+
 def _small_level(
-    frontier, ptr: np.ndarray, fwd: np.ndarray, cl: np.ndarray, seen: np.ndarray, parent: np.ndarray
+    frontier, ptr: np.ndarray, fwd: np.ndarray, cl: np.ndarray, claim: np.ndarray, parent: np.ndarray
 ) -> list:
     """One level of ``_reap_parents`` node by node, in frontier order:
     the same next level as the numpy step, cheaper on a few nodes."""
     nxt = []
     for y in frontier:
         for x in fwd[ptr[y] : ptr[y + 1]].tolist():
-            if not seen[x] and cl[x] == cl[y]:
-                seen[x] = True
+            if not claim[x] and cl[x] == cl[y]:
+                claim[x] = _CLAIMED
                 parent[x] = y
                 nxt.append(x)
     return nxt
@@ -350,30 +371,30 @@ def _reap_parents(
     ``parent``, by one level-synchronous BFS over all clusters at once.
     ``frontier`` lists the seeds, cluster by cluster in reap order.  A
     node's forward arcs are ``fwd[ptr[y]:ptr[y + 1]]``; only nodes of
-    the same cluster are claimed, and the first occurrence of a node in
-    a level claims it."""
-    n = cl.size
+    the same cluster are claimed, each by the first arc of a level that
+    reaches it from its cluster.  A level claims by one max-scatter,
+    with no compaction: ``claim`` holds 0 for a free node and _CLAIMED
+    for a reaped one, each arc of the level gets a stamp that falls in
+    arc order, or -1 when it leaves its cluster, and an arc claims its
+    target exactly when its stamp is the target's maximum."""
     deg = np.diff(ptr)
-    seen = np.zeros(n, dtype=bool)
-    seen[frontier] = True
-    first = np.full(n, fwd.size)
+    claim = np.zeros(cl.size, dtype=np.int64)
+    claim[frontier] = _CLAIMED
     while len(frontier):
         if len(frontier) < SMALL_FRONTIER:
-            frontier = _small_level(frontier, ptr, fwd, cl, seen, parent)
+            frontier = _small_level(frontier, ptr, fwd, cl, claim, parent)
             continue
         frontier = np.asarray(frontier)
         d = deg[frontier]
-        src = np.repeat(frontier, d)
-        dst = fwd[np.repeat(ptr[frontier] - (np.cumsum(d) - d), d) + np.arange(src.size)]
-        keep = ~seen[dst] & (cl[dst] == cl[src])
-        src, dst = src[keep], dst[keep]
-        pos = np.arange(dst.size)
-        np.minimum.at(first, dst, pos)
-        won = first[dst] == pos
-        first[dst] = fwd.size
+        src = frontier.repeat(d)  # the methods skip numpy's function wrappers
+        pos = np.arange(src.size)
+        dst = fwd[(ptr[frontier] - (d.cumsum() - d)).repeat(d) + pos]
+        stamp = np.where(cl[dst] == cl[src], src.size - pos, -1)
+        np.maximum.at(claim, dst, stamp)
+        won = claim[dst] == stamp
         frontier = dst[won]
         parent[frontier] = src[won]
-        seen[frontier] = True
+        claim[frontier] = _CLAIMED
 
 
 def array_stage(g: Graph, f: FleetModel, mode: str, kernel_of: Optional[np.ndarray] = None) -> Forest:
@@ -386,7 +407,9 @@ def array_stage(g: Graph, f: FleetModel, mode: str, kernel_of: Optional[np.ndarr
     if that is still free, founds a cluster on the beam there.  Such a
     claim takes every free node upstream of the top's beam component,
     along the subjection DAG, so each node joins the earliest claim
-    downstream of it (``_founders``, each node nominating its top).
+    downstream of it (``_founders``).  Only a home's smallest member
+    nominates its top: if it founds, its claim covers its home, so no
+    larger member of that home is ever fresh.
     """
     _check_model(g, f)
     n = g.n
@@ -403,25 +426,26 @@ def array_stage(g: Graph, f: FleetModel, mode: str, kernel_of: Optional[np.ndarr
     iso = f.isolated
     comp = beam_components(f)
     down = (comp[f.rev_children], comp[np.repeat(ids, np.diff(f.rev_indptr))])
-    nominators = np.flatnonzero(~iso)
-    t = f.target[nominators]
-    climb = nominators[f.mvc_scaled[t] != f.mvc_scaled[nominators]]
+    live = np.flatnonzero(~iso)
+    climb = live[f.mvc_scaled[f.target[live]] != f.mvc_scaled[live]]
     top = ids.copy()
     top[climb] = f.target[climb]
     chain = np.zeros(n, dtype=np.int64)
     chain[climb] = 1
     top = _jump(top, chain)
-    founders, m = _founders(n, nominators, comp[top[nominators]], comp[nominators], down)
+    reps = np.flatnonzero(~iso & (comp == ids))
+    founders, m = _founders(n, reps, comp[top[reps]], reps, down)
 
     k = founders.size
+    touches = f.rev_children.size + f.beam_leaves.size + int(chain[founders].sum()) + k
     order = np.empty(n, dtype=np.int64)
     order[founders] = np.arange(k)
     cl[~iso] = order[m[comp[~iso]]]
     a = top[founders]
     b = f.target[a]
     parent[a] = b
+    del ids, comp, down, live, climb, top, chain, reps, m, order  # dead: the reap is the stage's peak
     _reap_parents(*_forward_arcs(f), cl, np.stack((a, b), axis=1).ravel(), parent)
-    touches = f.rev_children.size + f.beam_leaves.size + int(chain[founders].sum()) + k
     return _forest(g, f, cl, parent, k, touches)
 
 
@@ -485,6 +509,7 @@ def _beam_loop(f: FleetModel, cl: np.ndarray, parent: np.ndarray, k: int) -> tup
     np.minimum.at(first, home, beam)
     nominated = np.flatnonzero((first[home] == beam) & loose)
     home = home[nominated]
+    del fa, fb, loose, both, ea, eb, lab, beam, first  # dead: the reap is the stage's peak
     r, l = f.rev_children, np.repeat(np.arange(n), np.diff(f.rev_indptr))
     up = free[r]
     claimers, m = _founders(n, np.arange(home.size), home, home, (comp[r[up]], comp[l[up]]))
@@ -675,6 +700,8 @@ def run(g: Graph, mode: str = "ooag", melioration: bool = True) -> MstResult:
     forest.melioration = melioration
     phases["node_stage"] = time.perf_counter() - t1
     k_after = forest.cluster_count
+    fleet_touches = f.arc_touches if f else 0
+    del f  # the merge rounds read the forest only; the model's arrays go first
 
     t2 = time.perf_counter()
     while forest.cluster_count - len(forest.done) >= 2:
@@ -695,7 +722,7 @@ def run(g: Graph, mode: str = "ooag", melioration: bool = True) -> MstResult:
         rounds=forest.rounds,
         comparisons=forest.comparisons,
         per_round=forest.per_round,
-        node_arc_touches=forest.node_arc_touches + (f.arc_touches if f else 0),
+        node_arc_touches=forest.node_arc_touches + fleet_touches,
         mode=mode,
         phase_seconds=phases,
     )

@@ -11,7 +11,9 @@ The build makes one pass over all 2m arcs for the MVCs and one to find
 the arcs at their root's MVC; everything else (targets, the beam and
 reverse-subjection indexes, the towboat and boat flags) is read off
 those arcs alone.  Each such arc (r, l) is a beam when w = mvc(l), else
-r subjects strictly to l, since mvc(l) <= w always.
+r subjects strictly to l, since mvc(l) <= w always.  The half beams,
+each beam once as (a, b) with a < b, are read off the beam arcs there
+too, once per model, for the beam components and the beam loop.
 
 Components are labelled in one place: ``_hook`` (hooking and pointer
 jumping, no round budget) gives the beam components the node stage and
@@ -61,7 +63,12 @@ class FleetModel:
         first[1:] = root[1:] != root[:-1]
         target[rows] = leaf[first]
         is_beam = w[at_min] == mvc[leaf]
+        half = np.flatnonzero(is_beam & (root < leaf))  # index gathers beat mask gathers here
+        self._half_beams = (root[half], leaf[half])
+        for ends in self._half_beams:
+            ends.flags.writeable = False  # shared by every half_beams caller
         beam, strict = np.flatnonzero(is_beam), np.flatnonzero(~is_beam)
+        del at_min, first, is_beam, half  # the build's peak is what it holds at its end
         self.beam_indptr = _indptr(root[beam], n)
         self.beam_leaves = leaf[beam]  # already sorted by (src, leaf)
 
@@ -148,10 +155,9 @@ def trace_chain(f: FleetModel, start: int) -> list[int]:
 
 
 def half_beams(f: FleetModel) -> tuple[np.ndarray, np.ndarray]:
-    """Every beam once as (a, b) with a < b, sorted."""
-    a = np.repeat(np.arange(f.n), np.diff(f.beam_indptr))
-    half = np.flatnonzero(a < f.beam_leaves)  # index gathers beat mask gathers here
-    return a[half], f.beam_leaves[half]
+    """Every beam once as (a, b) with a < b, sorted; read-only arrays
+    that the model keeps."""
+    return f._half_beams
 
 
 def _jump(p: np.ndarray, dist: Optional[np.ndarray] = None) -> np.ndarray:

@@ -7,6 +7,7 @@ from fleetmst import engine
 from fleetmst.baselines import kruskal
 from fleetmst.fleet import build_fleet
 from fleetmst.generators import lattice8
+from fleetmst.graph import graph_from_arrays
 from fleetmst.kernels import detect_kernels, koag_seed
 from oracles import (
     bench_lattices,
@@ -98,6 +99,66 @@ def test_deep_inputs_match_the_oracle(mode, monkeypatch):
         assert_same_forest(g, mode)
         assert engine.run(g, mode).edges == kruskal(g).edges, name
     assert all(ran.values()), ran
+
+
+def test_founder_rounds_agree_with_their_finisher(corpus, monkeypatch):
+    """The warm-started rounds of ``_founders`` reach the fixpoint that
+    ``_claim_upstream`` computes in one ascending pass on the same
+    arguments: the same founders and the same m, for the component
+    representatives of ``ooag`` and for the beam loop's nominations."""
+    calls = []
+    real = engine._founders
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(engine, "_founders", spy)
+    graphs = [g for _, g in corpus] + bench_lattices() + [g for _, g in deep_inputs()]
+    seen = set()
+    for g in graphs:
+        f = build_fleet(g)
+        for mode in STAGE_MODES:
+            calls.clear()
+            node_stage(g, f, mode)
+            for (n, nominators, nominee, home, down), (founders, m) in calls:
+                m_exact, took = engine._claim_upstream(n, *down, nominee, home, nominators)
+                assert np.array_equal(founders, nominators[took]), mode
+                assert np.array_equal(m, m_exact), mode
+                seen.add(mode)
+    assert seen == set(STAGE_MODES)
+
+
+def stamp_graph():
+    """Kernels {0, 3} and {1, 2}; node 4 subjects strictly to 2 and 3,
+    node 5 to 1 and 4.  The kernel phase's subjection reap starts from
+    every member in id order, so 4 (cluster 0) is reached from 2
+    (cluster 1) before 3 in the same level, and 5 (cluster 0) is reached
+    only from 1 (cluster 1) in the first level and from 4 in the next."""
+    u, v = np.array([0, 1, 4, 4, 5, 5]), np.array([3, 2, 2, 3, 1, 4])
+    return graph_from_arrays(6, u, v, np.array([1, 2, 5, 5, 6, 6]), 1)
+
+
+@pytest.mark.parametrize("small_frontier", [1, engine.SMALL_FRONTIER])
+@pytest.mark.parametrize("mode", STAGE_MODES)
+def test_reap_claims_through_the_first_same_cluster_arc(mode, small_frontier, monkeypatch):
+    """An arc that leaves its cluster never claims, even when it comes
+    first in its level; its target waits for a same-cluster arc.  With a
+    small-frontier bound of 1 every level takes the numpy step."""
+    monkeypatch.setattr(engine, "SMALL_FRONTIER", small_frontier)
+    g = stamp_graph()
+    array, seq = stages(g, build_fleet(g), mode)
+    assert np.array_equal(array.parent, seq.parent)
+    assert np.array_equal(array.cluster_of, seq.cluster_of)
+    assert array.parent[4:].tolist() == [3, 4] and array.cluster_of.tolist() == [0, 1, 1, 0, 0, 0]
+    # The BFS alone, on a hand-made level: 1 (cluster 1) comes first and
+    # reaches 2 and 3 (cluster 0) and 4 (cluster 1); 0 then claims 2, 2
+    # claims 3 in the next level.
+    ptr, fwd = np.array([0, 1, 4, 5, 5, 5]), np.array([2, 2, 3, 4, 3])
+    cl, parent = np.array([0, 1, 0, 0, 1]), np.full(5, -1)
+    engine._reap_parents(ptr, fwd, cl, np.array([1, 0]), parent)
+    assert parent.tolist() == [-1, -1, 0, 2, 1]
 
 
 def test_stages_leave_the_chase_tables_unbuilt():

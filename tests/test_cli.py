@@ -338,6 +338,38 @@ def test_bench_that_stops_early_keeps_the_old_record(tmp_path, capsys):
     assert [row["mode"] for row in json.loads(out.read_text())["rows"]] == ["kruskal"]
 
 
+@pytest.mark.parametrize("flag", ["--out", "--stats"])
+def test_build_outputs_are_checked_before_the_graph_is_read(tmp_path, monkeypatch, capsys, flag):
+    def no_work(*args):
+        pytest.fail("build worked before its outputs were opened")
+
+    gpath = tmp_path / "g.txt"
+    main(["gen", "lattice", "--p", "4", "--out", str(gpath)])
+    monkeypatch.setattr(cli, "read_graph", no_work)
+    monkeypatch.setattr(cli, "_run_algo", no_work)
+    paths = {"--out": tmp_path / "t.txt", "--stats": tmp_path / "s.json"}
+    paths[flag] = tmp_path / "missing" / "file"
+    capsys.readouterr()
+    argv = ["build", str(gpath), "--algo", "prim", "--out", str(paths["--out"]), "--stats", str(paths["--stats"])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(paths[flag]) in err[0]
+
+
+def test_build_that_fails_keeps_the_old_outputs(tmp_path, capsys):
+    tpath, spath = tmp_path / "t.txt", tmp_path / "s.json"
+    tpath.write_text("old tree\n")
+    spath.write_text('{"old": "stats"}\n')
+    argv = ["build", str(tmp_path / "no_graph.txt"), "--out", str(tpath), "--stats", str(spath)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert (tpath.read_text(), spath.read_text()) == ("old tree\n", '{"old": "stats"}\n')
+    gpath = tmp_path / "g.txt"
+    main(["gen", "lattice", "--p", "4", "--out", str(gpath)])
+    assert main([*argv[:1], str(gpath), *argv[2:]]) == 0
+    assert tpath.read_text().startswith("16 ") and json.loads(spath.read_text())["n"] == 16
+
+
 def test_bench_json_shape(tmp_path):
     out = tmp_path / "bench.json"
     argv = ["bench", "--family", "lattice", "--grid", "4,6", "--algos", "ooag,kruskal", "--q", "1:3"]
