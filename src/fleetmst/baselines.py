@@ -72,25 +72,70 @@ def _finish(g: Graph, u, v, w, mode: str, comparisons: int) -> MstResult:
 def kruskal(g: Graph) -> MstResult:
     """Classic ascending-weight greedy; deterministic under ties via
     the (weight, u, v) sort order.  The half arcs u < v are stored in
-    (u, v) order, so a stable sort on weight gives it.
+    (u, v) order, so a stable sort on weight gives it.  Weights that
+    span fewer than 2**16 values are sorted as uint16 offsets from the
+    lightest, which numpy's stable sort orders by radix sort.
 
     One loop scans that order over a plain parent list: each end finds
     its root by path halving, and the larger end's root links under the
     smaller end's, without ranks (still O(log n) amortised per find;
-    Tarjan and van Leeuwen 1984).  The loop records only the scan
-    position of each pick and stops at n - 1 picks; the picked columns
-    are then gathered, sorted and summed in arrays.  ``comparisons`` is
-    the number of edges scanned."""
+    Tarjan and van Leeuwen 1984).  It records only the scan position of
+    each pick and stops at n - 1 picks; the picked columns are then
+    gathered, sorted and summed in arrays.
+
+    The scan goes in chunks of n positions, filtered as in
+    Filter-Kruskal (Osipov, Sanders and Singler 2009): before each chunk
+    after the first, ``_join_labels`` folds the picks made since the
+    last chunk into array labels of the picked forest's components, and
+    the loop sees only the chunk's edges whose ends carry different
+    labels.  The edges dropped would close a cycle, so the picks are
+    the same; each pass costs O(n) array work, so all of them together
+    stay within O(m).  ``comparisons`` counts the edges scanned up to
+    and including the (n-1)-th pick, or all m when the graph is
+    disconnected."""
     src = g.arc_sources()
     half = g.half_arcs()
-    order = half[np.argsort(g.weights[half], kind="stable")]
+    w = g.weights[half]
+    if w.size and w.max() - w.min() < 2**16:
+        w = (w - w.min()).astype(np.uint16)
+    order = half[np.argsort(w, kind="stable")]
+    del half, w
     parent = list(range(g.n))
+    label = np.arange(g.n)
     picks: list[int] = []
+    labelled = 0
     need = g.n - 1
-    i = -1
+    step = max(g.n, 1)
+    for start in range(0, order.size, step):
+        arcs = order[start : start + step]
+        a_s, b_s = src[arcs], g.leaves[arcs]
+        at = np.arange(start, start + arcs.size)
+        if start:
+            new = order[picks[labelled:]]
+            labelled = len(picks)
+            label = _join_labels(label, src[new], g.leaves[new])
+            keep = np.flatnonzero(label[a_s] != label[b_s])
+            a_s, b_s, at = a_s[keep], b_s[keep], keep + start
+        done = _scan(parent, picks, need, at, a_s, b_s)
+        # Free the chunk's arrays before the next chunk or the result is
+        # gathered, so that those reuse the space; left in place, they
+        # moved later allocations up the heap, onto fresh pages.
+        del a_s, b_s, at
+        if done:
+            break
+    scanned = picks[-1] + 1 if picks and len(picks) == need else order.size
+    arcs = order[picks]
+    return _finish(g, src[arcs], g.leaves[arcs], g.weights[arcs], "kruskal", scanned)
+
+
+def _scan(parent: list[int], picks: list[int], need: int, at, a_s, b_s) -> bool:
+    """The union-find loop over the edges (a_s, b_s) at the scan
+    positions ``at``, three int64 arrays: it links each edge that joins
+    two trees of ``parent`` and appends its position to ``picks``, and
+    returns True as soon as ``need`` edges are picked."""
     # A memoryview makes each end's int only when the scan reaches it,
     # not one for every edge up front.
-    for i, (a, b) in enumerate(zip(memoryview(src[order]), memoryview(g.leaves[order]))):
+    for i, a, b in zip(memoryview(at), memoryview(a_s), memoryview(b_s)):
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
@@ -99,9 +144,37 @@ def kruskal(g: Graph) -> MstResult:
             parent[b] = a
             picks.append(i)
             if len(picks) == need:
-                break
-    arcs = order[picks]
-    return _finish(g, src[arcs], g.leaves[arcs], g.weights[arcs], "kruskal", i + 1)
+                return True
+    return False
+
+
+def _join_labels(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``label`` maps every node to its component's smallest node;
+    returns that map (overwriting ``label``) after the edges (a, b),
+    which join distinct components, are added.  Each round every
+    component root crossed by an edge hooks onto the smallest root
+    across its edges, and pointer jumping flattens the hooks.  A root
+    that does not hook is hooked onto, or hooks in the next round, so
+    the crossed components at least halve every two rounds."""
+    x, y = label[a], label[b]
+    while x.size:
+        np.minimum.at(label, np.maximum(x, y), np.minimum(x, y))
+        label = _jump(label)
+        x, y = label[x], label[y]
+        apart = np.flatnonzero(x != y)
+        x, y = x[apart], y[apart]
+    return label
+
+
+def _jump(parent: np.ndarray) -> np.ndarray:
+    """Every node's root in the forest ``parent`` (roots point to
+    themselves, other pointers never close a cycle), by pointer
+    jumping: O(log depth) whole-array passes."""
+    while True:
+        jump = parent[parent]
+        if np.array_equal(jump, parent):
+            return parent
+        parent = jump
 
 
 def prim(g: Graph, seed: int = 0) -> MstResult:
@@ -111,9 +184,9 @@ def prim(g: Graph, seed: int = 0) -> MstResult:
     if g.n:
         g._check_id(seed)  # the empty graph has no node to seed from
     visited = [False] * g.n
-    indptr = g.indptr.tolist()
-    leaves = g.leaves.tolist()
-    weights = g.weights.tolist()
+    # Memoryviews make an arc's ints only when the search reaches it,
+    # not a list of all 2m arcs up front.
+    indptr, leaves, weights = memoryview(g.indptr), memoryview(g.leaves), memoryview(g.weights)
     heap: list[tuple[int, int, int]] = []
 
     def push_frontier(x: int) -> None:
@@ -253,12 +326,7 @@ def _boruvka_tree(n, a, b, w) -> tuple[list[tuple[np.ndarray, np.ndarray, np.nda
         e = pick[live]
         hook = ids.copy()
         hook[live] = a[e] + b[e] - ids[live]
-        hook = np.where((hook[hook] == ids) & (ids < hook), ids, hook)
-        while True:
-            jump = hook[hook]
-            if np.array_equal(jump, hook):
-                break
-            hook = jump
+        hook = _jump(np.where((hook[hook] == ids) & (ids < hook), ids, hook))
         fresh = np.cumsum((hook == ids) & live) - 1
         up = np.where(live, fresh[hook], -1)
         top[~live] = 0

@@ -79,11 +79,75 @@ def test_kruskal_counts_the_edges_it_scans():
         (build_graph(3, []), 0),
         (lattice8(15, (1, 2, 3), seed=2), None),
     ]
-    for g, scanned in cases:
+    # The loop takes its edges in chunks of n scan positions; these scan
+    # at least three chunks.  An isolated node keeps the lattice from
+    # spanning, so the scan runs to m.
+    base = lattice8(10, (1, 2, 3), seed=5)
+    src = base.arc_sources()
+    keep = src < base.leaves
+    apart = graph_from_arrays(base.n + 1, src[keep], base.leaves[keep], base.weights[keep], 1)
+    chunked = [
+        (apart, apart.m),
+        # Weight ranges just below and at 2**16: uint16 offsets, then int64.
+        (random_gnm(60, 600, (1, 2**15, 2**16), seed=3), None),
+        (random_gnm(60, 600, (1, 2**15, 2**16 + 1), seed=3), None),
+        (lattice8(12, (5,), seed=1), None),
+    ]
+    for g, _ in chunked:
+        assert kruskal(g).comparisons > 2 * g.n
+    for g, scanned in cases + chunked:
         res = kruskal(g)
         assert (res.edges, res.total, res.comparisons) == reference_kruskal(g)
         assert scanned is None or res.comparisons == scanned
         assert (res.mode, res.k_after_node_stage, res.rounds) == ("kruskal", 0, 0)
+
+
+def _handed(monkeypatch, g):
+    """Kruskal's result on g and the scan positions its loop was handed,
+    one array per chunk."""
+    handed = []
+    scan = baselines._scan
+
+    def spy(parent, picks, need, at, a_s, b_s):
+        handed.append(at.copy())
+        return scan(parent, picks, need, at, a_s, b_s)
+
+    monkeypatch.setattr(baselines, "_scan", spy)
+    return kruskal(g), handed
+
+
+def test_kruskal_drops_cycle_closing_edges_before_its_loop(monkeypatch):
+    # After the first chunk of n scan positions, array labels of the
+    # picked forest drop the edges whose ends it already joins, so the
+    # union-find loop sees far fewer edges than the scan covers.
+    g = lattice8(40, (1, 2), seed=1)
+    res, handed = _handed(monkeypatch, g)
+    assert (res.edges, res.total, res.comparisons) == reference_kruskal(g)
+    assert len(handed) >= 3
+    assert handed[0].tolist() == list(range(g.n))
+    seen = set(np.concatenate(handed).tolist())
+    assert len(seen) < 0.6 * res.comparisons
+    # Every edge the loop did not see closed a cycle when the scan passed it.
+    ds = DisjointSet(g.n)
+    for i, (u, v, _) in enumerate(sorted(g.edge_list(), key=lambda e: e[2])[: res.comparisons]):
+        joined = ds.union(u, v)
+        assert i in seen or not joined
+
+
+def test_kruskal_filters_chunks_that_follow_a_chunk_without_picks(monkeypatch):
+    # A light path over all nodes but the last, which stays isolated, so
+    # the scan runs to m; every heavy chord closes a cycle.  The first
+    # chunk picks the whole path, and every later chunk is filtered by
+    # the same labels, even after a chunk that picked nothing.
+    n = 20
+    path = [(i, i + 1, 1) for i in range(n - 2)]
+    chords = [(u, v, 5) for u in range(n - 1) for v in range(u + 2, n - 1)]
+    g = build_graph(n, path + chords)
+    res, handed = _handed(monkeypatch, g)
+    assert (res.edges, res.total, res.comparisons) == reference_kruskal(g)
+    assert res.comparisons == g.m > 3 * n
+    assert len(handed) >= 4
+    assert all(at.size == 0 for at in handed[1:])
 
 
 def test_kruskal_links_a_deep_chain():
