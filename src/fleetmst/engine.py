@@ -24,19 +24,20 @@ one max-scatter of stamps that fall in arc order, an arc that leaves
 its cluster stamped -1, with no compaction.
 ``mode="boruvka"`` skips the node stage (every node its own cluster),
 as a reference line.  The cluster stage then merges clusters
-Boruvka-style over one contracting edge list: the first round lists
-every edge that crosses two clusters once, as its stored arc (a, b)
-with a < b, in arc order, which is (a, b) order.  A listed edge is three
-values: an int64 rank key ``rank(w) * 2m + arc``, whose order is
-(weight, a, b), so nothing is sorted, and whose ``key % 2m`` names the
-arc; and the round-local cluster ids (0..k-1) of its two ends, uint32
-(k <= n <= MAX_NODES < 2**32).  Each round every live cluster hooks
-onto its crossing edge with the least key, reads that edge's ends off
-the graph, the hooks are flattened into fresh cluster ids, and the keys
-of edges now inside a cluster are dropped for good.  Dropping them (the
-melioration) only shrinks what later rounds examine; it never changes a
-choice.  With it off, the list keeps every edge and each round rescans
-all 2m arcs.
+Boruvka-style, and every round numbers its clusters 0..k-1.  A round
+lists every edge that crosses two clusters once, as its stored arc
+(a, b) with a < b, in arc order, which is (a, b) order.  A listed edge
+is three values: an int64 rank key ``rank(w) * 2m + arc``, whose order
+is (weight, a, b), so nothing is sorted, and whose ``key % 2m`` names
+the arc; and the cluster ids of its two ends, uint32 (k <= n <=
+MAX_NODES < 2**32).  Each round every cluster with a crossing edge
+hooks onto the one with the least key, reads that edge's ends off the
+graph, and one renumbering table flattens the hooks into the next
+round's ids 0..k'-1.  With melioration on, the list contracts: the
+first round builds it from all 2m arcs, and each later round drops for
+good the keys of edges now inside a cluster, which only shrinks what
+later rounds examine and never changes a choice.  With it off, every
+round rebuilds the list from all 2m arcs.
 
 Picked edges stay arrays, in the result too.  Every node-stage pick has
 the form "node z joins through p with weight mvc[z]", so the node stage
@@ -51,10 +52,10 @@ without building one; ``Forest.picked`` gives the same edges as
 
 ``perfbench/tracing.py`` re-drives ``run`` step by step, so these names
 keep their meaning: ``merge_round(g, forest)``; ``Forest.cluster_count``,
-``done`` (ids of clusters with no crossing edge), ``cluster_of`` (the
-current id of each node), ``picked``, ``picked_edges()``, ``rounds``,
-``comparisons``, ``per_round`` and the settable ``melioration``, read
-when each round runs.
+``done`` (the clusters with no crossing edge; only its length is read),
+``cluster_of`` (the current id of each node), ``picked``,
+``picked_edges()``, ``rounds``, ``comparisons``, ``per_round`` and the
+settable ``melioration``, read when each round runs.
 """
 
 from __future__ import annotations
@@ -161,13 +162,13 @@ class MstResult:
 class Forest:
     """Cluster bookkeeping during one engine execution.
 
-    Live cluster ids are always the dense range [base, counter);
-    ``cluster_of`` holds each node's current id.  ``parent[z] = p``
-    records that the node stage joined z to its cluster through the edge
-    {z, p} of weight ``mvc[z]`` (-1: no such pick).  The merge rounds
-    assign ``cluster_of``, keep their contracting edge list here and
-    append the arcs (a, b), a < b, of the edges they choose to
-    ``merged``; the picked columns read ends and weights off the graph.
+    Cluster ids are always 0..cluster_count-1; ``cluster_of`` holds each
+    node's current id.  ``parent[z] = p`` records that the node stage
+    joined z to its cluster through the edge {z, p} of weight ``mvc[z]``
+    (-1: no such pick).  The merge rounds renumber ``cluster_of``, keep
+    their crossing-edge list here and append the arcs (a, b), a < b, of
+    the edges they choose to ``merged``; the picked columns read ends
+    and weights off the graph.
     Confined to a single execution context; not thread safe.
     """
 
@@ -176,27 +177,20 @@ class Forest:
         self.cluster_of = cluster_of
         self.parent = parent
         self.mvc = mvc  # scaled MVC per node
-        self.base = 0
-        self.counter = int(cluster_of.max(initial=-1)) + 1
+        self.cluster_count = int(cluster_of.max(initial=-1)) + 1
         self.rounds = 0
         self.merged: list[np.ndarray] = []  # per round: the chosen arcs
-        self.done: set[int] = set()
+        self.done = np.empty(0, dtype=np.int64)
         self.melioration = True
         self.comparisons = 0
         self.node_arc_touches = 0
         self.per_round: list[RoundStats] = []
         # Merge-stage edge list, three columns: int64 rank keys in
-        # (w, a, b) order (key % 2m is the arc (a, b)) and the round-local
-        # cluster ids (id - base) of each key's ends a and b, uint32.
+        # (w, a, b) order (key % 2m is the arc (a, b)) and the cluster
+        # ids of each key's ends a and b, uint32.
         self.edge_key: Optional[np.ndarray] = None
         self.label_a: Optional[np.ndarray] = None
         self.label_b: Optional[np.ndarray] = None
-
-    # -- cluster ids -----------------------------------------------------
-
-    @property
-    def cluster_count(self) -> int:
-        return self.counter - self.base
 
     # -- picked edges ----------------------------------------------------
 
@@ -545,30 +539,25 @@ def inheritance_stage(g: Graph, f: FleetModel) -> Forest:
 # ---------------------------------------------------------------------------
 
 _NO_KEY = np.iinfo(np.int64).max  # above every rank key
-assert MAX_NODES < 2**32  # round-local cluster ids fit the uint32 labels
+assert MAX_NODES < 2**32  # cluster ids fit the uint32 labels
 
 
 def _build_edge_list(g: Graph, forest: Forest) -> None:
-    """Every edge once, as its arc (a, b) with a < b, in stored arc order,
-    which is (a, b) order; with melioration on, only the edges that cross
-    clusters.  The edge of arc i gets the rank key (w - wmin) * 2m + i, so
-    keys order the edges by (w, a, b) and ``key % 2m`` names the arc.
-    When that key range does not fit in int64, dense weight ranks stand
-    in for w - wmin; those keep every key below distinct weights * 2m,
-    and a graph where even that overflows int64 is TooLarge rather than
-    given wrapped keys.
-    Each key's ends get their round-local cluster ids (base is 0 before
-    the first round) as uint32: ids stay below n <= MAX_NODES < 2**32,
-    and the 2m-wide gathers, the largest arrays of the merge stage, are
-    cheaper to fill half as wide."""
+    """Every edge that crosses clusters once, as its arc (a, b) with
+    a < b, in stored arc order, which is (a, b) order.  The edge of arc i
+    gets the rank key (w - wmin) * 2m + i, so keys order the edges by
+    (w, a, b) and ``key % 2m`` names the arc.  When that key range does
+    not fit in int64, dense weight ranks stand in for w - wmin; those
+    keep every key below distinct weights * 2m, and a graph where even
+    that overflows int64 is TooLarge rather than given wrapped keys.
+    Each key's ends get their cluster ids as uint32: ids stay below
+    n <= MAX_NODES < 2**32, and the 2m-wide gathers, the largest arrays
+    of the merge stage, are cheaper to fill half as wide."""
     src = g.arc_sources()
     arcs = g.arc_count
     cl = forest.cluster_of.astype(np.uint32)
     ca, cb = cl[src], cl[g.leaves]
-    keep = src < g.leaves
-    if forest.melioration:
-        keep &= ca != cb
-    keep = np.flatnonzero(keep)  # index gathers beat mask gathers here
+    keep = np.flatnonzero((src < g.leaves) & (ca != cb))  # index gathers beat mask gathers here
     forest.label_a, forest.label_b = ca[keep], cb[keep]
     del ca, cb  # the key column can reuse their memory
     key = g.weights[keep]
@@ -585,56 +574,48 @@ def _build_edge_list(g: Graph, forest: Forest) -> None:
 
 
 def merge_round(g: Graph, forest: Forest) -> Forest:
-    """One Boruvka round over the contracting edge list.
+    """One Boruvka round over the crossing-edge list.
 
     Every cluster hooks onto the other end of its crossing edge with the
     least rank key; keys follow (w, a, b), so ties break on the smaller,
     then the larger endpoint.  Mutual pairs keep the smaller id as root,
-    pointer jumping flattens the hooks, and roots get fresh ids from the
-    counter.  Clusters without a crossing edge are Done.  The round
-    counts the arcs it examines: all 2m when it builds the list, else
-    twice the keys it weighs.  With melioration on, each round first
-    drops for good the keys of edges that ended up inside a cluster, so
-    it weighs crossing edges only; off, every round rescans all.
+    pointer jumping flattens the hooks, and the roots are renumbered
+    0..k'-1, which relabels ``cluster_of`` and the list's ends.  When no
+    cluster hooks, every cluster is Done.  The round counts the arcs it
+    examines: all 2m when it builds the list, else twice the keys it
+    weighs.  With melioration on, only the first round builds the list
+    and each later one first drops for good the keys of edges that ended
+    up inside a cluster; off, every round rebuilds it.
     """
     t0 = time.perf_counter()
     arcs = g.arc_count
-    if forest.edge_key is None:
+    if forest.edge_key is None or not forest.melioration:
         _build_edge_list(g, forest)
         scanned = arcs
     else:
-        if forest.melioration:
-            keep = np.flatnonzero(forest.label_a != forest.label_b)
-            forest.edge_key = forest.edge_key[keep]
-            forest.label_a = forest.label_a[keep]
-            forest.label_b = forest.label_b[keep]
+        keep = np.flatnonzero(forest.label_a != forest.label_b)
+        forest.edge_key = forest.edge_key[keep]
+        forest.label_a = forest.label_a[keep]
+        forest.label_b = forest.label_b[keep]
         scanned = 2 * forest.edge_key.size
     forest.comparisons += scanned
 
-    base, k = forest.base, forest.cluster_count
+    k, key = forest.cluster_count, forest.edge_key
     la, lb = forest.label_a, forest.label_b
-    if forest.melioration:
-        live = la.size > 0
-        key = forest.edge_key
-    else:
-        crossing = la != lb
-        live = crossing.any()
-        key = np.where(crossing, forest.edge_key, _NO_KEY)
-    if not live:
-        forest.done = set(range(base, forest.counter))
-        return forest
-
     # Least crossing key per cluster; _NO_KEY marks none.
     best = np.full(k, _NO_KEY, dtype=np.int64)
     np.minimum.at(best, la, key)
     np.minimum.at(best, lb, key)
     ids = np.arange(k)
     hooked = best < _NO_KEY
+    if not hooked.any():
+        forest.done = ids
+        return forest
     arc = best % arcs  # the chosen edge's arc (a, b)
     parent = ids.copy()
     h = arc[hooked]
-    ea = forest.cluster_of[g.arc_sources()[h]] - base
-    eb = forest.cluster_of[g.leaves[h]] - base
+    ea = forest.cluster_of[g.arc_sources()[h]]
+    eb = forest.cluster_of[g.leaves[h]]
     parent[hooked] = np.where(ea == ids[hooked], eb, ea)
     mutual = (parent[parent] == ids) & (ids < parent)
     parent[mutual] = ids[mutual]
@@ -644,13 +625,11 @@ def merge_round(g: Graph, forest: Forest) -> Forest:
     roots = np.flatnonzero(parent == ids)
     fresh = np.empty(k, dtype=la.dtype)
     fresh[roots] = np.arange(roots.size)
-    fresh = fresh[parent]  # round-local ids of the next round
-    fresh_ids = np.add(fresh, forest.counter, dtype=np.int64)
-    forest.cluster_of = fresh_ids[forest.cluster_of - base]
+    fresh = fresh[parent]  # each cluster's id in the next round
+    forest.cluster_of = fresh.astype(np.int64)[forest.cluster_of]
     forest.label_a, forest.label_b = fresh[la], fresh[lb]
-    forest.done = set(fresh_ids[~hooked].tolist())
-    forest.base = forest.counter
-    forest.counter += roots.size
+    forest.done = fresh[~hooked]
+    forest.cluster_count = roots.size
 
     forest.rounds += 1
     forest.per_round.append(
@@ -675,8 +654,8 @@ def run(g: Graph, mode: str = "ooag", melioration: bool = True) -> MstResult:
 
     ``mode="boruvka"`` is the reference line: no fleet model, every node
     starts as its own cluster (k = n) and the merge rounds do all the
-    work.  ``melioration=False`` keeps every edge in the list, so each
-    round rescans all 2m arcs; the output is the same either way."""
+    work.  ``melioration=False`` rebuilds the crossing-edge list from
+    all 2m arcs every round; the output is the same either way."""
     known = MODES + ("boruvka",)
     if mode not in known:
         raise ValueError(f"unknown mode {mode!r}; expected one of {known}")

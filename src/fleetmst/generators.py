@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidSize, TooLarge, TooManyEdges
-from .graph import Graph, graph_from_arrays, scale_weights
+from .graph import MAX_NODES, Graph, graph_from_arrays, scale_weights
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -71,6 +71,13 @@ def _at_least(name: str, value: int, least: int) -> None:
         raise InvalidSize(f"{name} must be >= {least}, got {value}")
 
 
+def _node_count(n: int) -> None:
+    """Refuse a bad n before any n-sized array is allocated."""
+    _at_least("n", n, 0)
+    if n > MAX_NODES:
+        raise TooLarge(f"{n} nodes exceed the limit of {MAX_NODES}")
+
+
 def _weights_for(count: int, weight_set: Sequence, seed: int) -> tuple[np.ndarray, int]:
     scaled, scale = scale_weights(list(weight_set))
     draws = splitmix_stream(seed, count) % np.uint64(len(scaled))
@@ -111,7 +118,7 @@ def lattice8(p: int, weight_set: Sequence, seed: int) -> Graph:
 
 def random_gnm(n: int, m: int, weight_set: Sequence, seed: int) -> Graph:
     """Uniform-ish simple graph with exactly m edges, reproducible."""
-    _at_least("n", n, 0)
+    _node_count(n)
     _at_least("m", m, 0)
     limit = n * (n - 1) // 2
     if m > limit:
@@ -139,7 +146,7 @@ def random_gnm(n: int, m: int, weight_set: Sequence, seed: int) -> Graph:
 
 
 def complete(n: int, weight_set: Sequence, seed: int) -> Graph:
-    _at_least("n", n, 0)
+    _node_count(n)
     iu = np.triu_indices(n, k=1)
     u = iu[0].astype(np.int64)
     v = iu[1].astype(np.int64)
@@ -148,7 +155,7 @@ def complete(n: int, weight_set: Sequence, seed: int) -> Graph:
 
 
 def path(n: int, weight_set: Sequence, seed: int) -> Graph:
-    _at_least("n", n, 0)
+    _node_count(n)
     u = np.arange(n - 1, dtype=np.int64) if n > 1 else np.empty(0, np.int64)
     v = u + 1
     w, scale = _weights_for(u.size, weight_set, seed)
@@ -156,6 +163,7 @@ def path(n: int, weight_set: Sequence, seed: int) -> Graph:
 
 
 def cycle(n: int, weight_set: Sequence, seed: int) -> Graph:
+    _node_count(n)
     if n < 3:
         return path(n, weight_set, seed)
     u = np.arange(n, dtype=np.int64)

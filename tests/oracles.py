@@ -3,7 +3,7 @@
 ``sequential_stage`` is the node stage as the engine first defined it:
 one FIFO reap per cluster, in founding order, in plain Python.  The
 array stage in ``fleetmst.engine`` must reproduce its forest (parent
-array, cluster ids, counter and arcs touched) in every mode.
+array, cluster ids, cluster count and arcs touched) in every mode.
 ``_components`` is the component labeller that ``fleet.beam_components``
 must agree with.  ``lexsort_graph`` is the two-lexsort graph builder
 that ``graph.graph_from_arrays`` must reproduce, graph and error alike.

@@ -42,7 +42,7 @@ def assert_same_forest(g, mode):
     array, seq = stages(g, build_fleet(g), mode)
     assert np.array_equal(array.parent, seq.parent), mode
     assert np.array_equal(array.cluster_of, seq.cluster_of), mode
-    assert array.counter == seq.counter, mode
+    assert array.cluster_count == seq.cluster_count, mode
     assert array.node_arc_touches == seq.node_arc_touches, mode
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import shlex
 import time
 from fractions import Fraction
@@ -437,6 +438,95 @@ def test_readme_cli_examples_parse():
         parser.parse_args(shlex.split(line)[1:])
 
 
+ROOT = Path(__file__).resolve().parents[1]
+# README's names for the algorithms, in its tables and sentences.
+README_ALGOS = {
+    "`ooag`": "ooag",
+    "`oag_then_merge`": "oag_then_merge",
+    "`koag_seeded`": "koag_seeded",
+    "`boruvka`": "boruvka",
+    "Kruskal": "kruskal",
+    "Prim": "prim",
+}
+
+
+def bench_record(name: str) -> dict:
+    """A committed bench record's rows, by algorithm."""
+    return {row["mode"]: row for row in json.loads((ROOT / name).read_text())["rows"]}
+
+
+def markdown_tables(text: str) -> list:
+    """Each table in ``text`` as a list of {header: cell} rows."""
+    tables, head = [], None
+    for line in text.splitlines():
+        if not line.startswith("|"):
+            head = None
+            continue
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if head is None:
+            head = cells
+            tables.append([])
+        elif not set(line.strip()) <= set("|-: "):
+            tables[-1].append(dict(zip(head, cells)))
+    return tables
+
+
+def test_readme_bench_numbers_match_their_records():
+    """Every run time, phase, k, round count and A that README quotes from
+    a bench record is that record's, rounded as printed: the two n=1M
+    tables (weights 1..10 and 1..2), the G(200k, 800k) medians and the
+    table of crossover records, which names its record in each row."""
+    readme = (ROOT / "README.md").read_text()
+    n1m = {"1..10": "BENCH_lattice_p1000.json", "1..2": "BENCH_lattice_q2_p1000.json"}
+    assert all(name in readme for name in n1m.values())
+    checked = {"wall": 0, "phase": 0, "median": 0}
+
+    def wall_text(row, cell):
+        w = row["wall_s"]
+        if "(" in cell:
+            return f"{w['median']:.2f} s ({w['min']:.2f}-{w['max']:.2f})"
+        return f"{w['median']:.2f} s"
+
+    for table in markdown_tables(readme):
+        for cells in table:
+            if "record" in cells:
+                record = bench_record(cells["record"].strip("`"))
+            elif cells.get("weights") in n1m:
+                record = bench_record(n1m[cells["weights"]])
+            else:
+                continue
+            if "mode" in cells:
+                mode = cells["mode"].strip("`")
+                row = record[mode]
+                ph = row["phase_seconds"]
+                want = {
+                    "fleet": "-" if mode == "boruvka" else f"{ph['fleet_build']:.2f}",
+                    "node stage": "-" if mode == "boruvka" else f"{ph['node_stage']:.2f}",
+                    "merge": f"{ph['merge_rounds']:.2f}",
+                    "materialise": f"{ph['materialise']:.2f}",
+                    "k": f"{row['k']:,}",
+                    "rounds": str(row["rounds"]),
+                    "A": f"{row['comparisons_A'] / 1e6:.1f}M",
+                }
+                assert {col: cells[col] for col in want} == want, cells
+                checked["phase"] += 1
+            for col, algo in README_ALGOS.items():
+                if col in cells:
+                    assert cells[col] == wall_text(record[algo], cells[col]), (cells, col)
+                    checked["wall"] += 1
+            for col in ("k", "rounds"):
+                if col in cells and "mode" not in cells:
+                    assert cells[col] == f"{record['ooag'][col]:,}", (cells, col)
+
+    para = readme[readme.index("The G(n, m) graph (n=200,000") :].split("\n\n")[0]
+    record = bench_record("BENCH_gnm_n200k.json")
+    assert f"{record['ooag']['edges']:,} edges" in para
+    for name, text in re.findall(r"(`\w+`|Kruskal|Prim) (\d+\.\d+) s", para):
+        assert text == f"{record[README_ALGOS[name]]['wall_s']['median']:.2f}", name
+        checked["median"] += 1
+    assert checked["phase"] >= 8 and checked["median"] == 6 and checked["wall"] >= 12 + 18, checked
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -469,6 +559,11 @@ def test_readme_cli_examples_parse():
         ["verify", "{tmp}/binary.txt", "{tmp}/g3.txt"],
         ["kvalue", "{tmp}/binary.txt"],
         ["verify", "{tmp}/g3.txt", "{tmp}/binary_tree.txt"],
+        # Sizes beyond graph.MAX_NODES: refused before any allocation.
+        ["gen", "path", "--n", "10000000000000000000", "--out", "{tmp}/g.txt"],
+        ["gen", "cycle", "--n", "10000000000000000000", "--out", "{tmp}/g.txt"],
+        ["gen", "complete", "--n", "10000000000000000000", "--out", "{tmp}/g.txt"],
+        ["bench", "--family", "path", "--grid", "10000000000000000000", "--json", "{tmp}/b.json"],
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):

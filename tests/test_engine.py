@@ -127,18 +127,18 @@ def test_merge_round_scans_the_crossing_arcs():
     assert all(scanned == 2 * g.m for scanned, _ in rescans)
 
 
-def test_merge_round_uses_fresh_cluster_ids():
-    f = build_fleet(TWO_TRIANGLES)
-    forest = node_stage(TWO_TRIANGLES, f)
-    old_ids = set(forest.cluster_of.tolist())
-    merge_round(TWO_TRIANGLES, forest)
-    new_ids = set(forest.cluster_of.tolist())
-    assert new_ids.isdisjoint(old_ids)
-    assert forest.cluster_count == 1
-    assert forest.rounds == 1
-    assert len(forest.per_round) == 1
-    rs = forest.per_round[0]
-    assert rs.clusters_before == 2 and rs.clusters_after == 1
+def test_merge_rounds_number_clusters_from_zero():
+    """After every merge round the clusters are numbered 0..k-1."""
+    for g in (TWO_TRIANGLES, lattice8(30, tuple(range(1, 11)), seed=7)):
+        forest = node_stage(g, build_fleet(g))
+        while forest.cluster_count - len(forest.done) >= 2:
+            before = forest.cluster_count
+            merge_round(g, forest)
+            rs = forest.per_round[-1]
+            assert (rs.clusters_before, rs.clusters_after) == (before, forest.cluster_count)
+            assert np.array_equal(np.unique(forest.cluster_of), np.arange(forest.cluster_count))
+        assert forest.cluster_count == 1
+        assert len(forest.per_round) == forest.rounds >= 1
 
 
 def test_bridge_tie_breaks_lexicographically():
@@ -340,23 +340,31 @@ def test_write_tree_matches_the_minimal_scale_text(tmp_path, monkeypatch, scale)
 
 def test_first_edge_list_holds_only_crossing_edges():
     """With melioration on, the first round lists only the edges that
-    cross clusters yet counts all 2m arcs; off, it lists every edge."""
+    cross clusters yet counts all 2m arcs; off, every round rebuilds
+    that list from all 2m arcs and counts them."""
     g = lattice8(80, (1, 2), seed=9)  # the node stage leaves 4 clusters
     f = build_fleet(g)
     src = g.arc_sources()
-    for melioration in (True, False):
-        listed, stepped = inheritance_stage(g, f), inheritance_stage(g, f)
-        listed.melioration = stepped.melioration = melioration
-        cl = listed.cluster_of
-        crossing = int(((src < g.leaves) & (cl[src] != cl[g.leaves])).sum())
-        engine._build_edge_list(g, listed)
-        if melioration:
-            assert listed.edge_key.size == crossing > 0
-            assert (listed.label_a != listed.label_b).all()
-        else:
-            assert listed.edge_key.size == g.m > crossing
-        merge_round(g, stepped)
-        assert stepped.per_round[0].arcs_scanned == 2 * g.m
+    listed, stepped = inheritance_stage(g, f), inheritance_stage(g, f)
+    cl = listed.cluster_of
+    crossing = int(((src < g.leaves) & (cl[src] != cl[g.leaves])).sum())
+    engine._build_edge_list(g, listed)
+    assert listed.edge_key.size == crossing > 0
+    assert (listed.label_a != listed.label_b).all()
+    merge_round(g, stepped)
+    assert stepped.per_round[0].arcs_scanned == 2 * g.m
+
+    g = lattice8(30, tuple(range(1, 11)), seed=7)
+    src = g.arc_sources()
+    forest = inheritance_stage(g, build_fleet(g))
+    forest.melioration = False
+    while forest.cluster_count - len(forest.done) >= 2:
+        cl = forest.cluster_of
+        crossing = np.flatnonzero((src < g.leaves) & (cl[src] != cl[g.leaves]))
+        merge_round(g, forest)
+        assert np.array_equal(forest.edge_key % g.arc_count, crossing)
+        assert forest.per_round[-1].arcs_scanned == 2 * g.m
+    assert forest.rounds >= 2
 
 
 def singletons(g):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fleetmst.errors import TooManyEdges
+from fleetmst.errors import TooLarge, TooManyEdges
 from fleetmst.generators import (
     GenSpec,
     complete,
@@ -85,6 +85,12 @@ def test_complete_path_cycle_shapes():
     assert path(1, (1,), seed=0).m == 0
     assert cycle(6, (1,), seed=0).m == 6
     assert cycle(2, (1,), seed=0).m == 1  # degenerates to a path
+
+
+@pytest.mark.parametrize("family", [complete, path, cycle])
+def test_node_count_beyond_the_limit_is_refused_before_allocating(family):
+    with pytest.raises(TooLarge):
+        family(10**19, (1,), seed=0)
 
 
 def test_genspec_token_and_build():

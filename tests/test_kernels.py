@@ -138,7 +138,7 @@ def test_koag_seed_claims_every_node():
         assert (forest.cluster_of >= 0).all()
 
 
-# koag_seed's forest on each benchmark lattice: counter, node_arc_touches
+# koag_seed's forest on each benchmark lattice: cluster_count, node_arc_touches
 # and the first 16 hex digits of the sha256 of parent and of cluster_of
 # (int64).  test_array_stage.py checks the array koag stage against the
 # sequential reap; this pins the forest itself.
@@ -161,7 +161,7 @@ def test_koag_seed_forest_is_pinned_on_the_bench_lattices():
     for g, want in zip(bench_lattices(), KOAG_FORESTS):
         f = build_fleet(g)
         forest = koag_seed(g, f, detect_kernels(f))
-        got = (forest.counter, forest.node_arc_touches, digest(forest.parent), digest(forest.cluster_of))
+        got = (forest.cluster_count, forest.node_arc_touches, digest(forest.parent), digest(forest.cluster_of))
         assert got == want
 
 
