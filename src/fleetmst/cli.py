@@ -98,12 +98,20 @@ def _write_json(fh, obj) -> None:
     fh.write("\n")
 
 
+def _check_writable(path) -> None:
+    """Fail on an output path that cannot be written before any work is
+    done, and leave the path as it was: opening with "a" keeps an
+    existing file's contents, and a new file is removed again, so a run
+    that stops early leaves no empty file behind."""
+    new = not os.path.exists(path)
+    open(path, "a", encoding="utf-8").close()
+    if new:
+        os.remove(path)
+
+
 def cmd_build(args) -> int:
-    # Opening with "a" fails on a bad path before the graph is read, yet
-    # leaves an existing file as it was; each is rewritten once the run
-    # is done.
     for path in filter(None, (args.out, args.stats)):
-        open(path, "a", encoding="utf-8").close()
+        _check_writable(path)
     g = read_graph(args.input)
     result = _run_algo(g, args.algo)
     engine.write_tree(result, g.n, args.out)
@@ -183,26 +191,26 @@ def _bench_row(spec, algo, g, repeats) -> dict:
 def cmd_bench(args) -> int:
     rows = []
     failed = 0
-    # "a" fails on a bad path before any row runs, yet leaves an existing
-    # record as it was until every row is done.
-    with open(args.json, "a", encoding="utf-8") as out:
-        for size in args.grid:
-            spec = _spec(args.family, size, size, args.m or 2 * size, args.q, args.seed)
-            g = spec.build()
-            for algo in args.algos:
-                try:
-                    rows.append(_bench_row(spec, algo, g, args.repeats))
-                except Exception as exc:  # keep going, mark the row failed
-                    print(f"warn: {spec.token()} {algo} failed: {exc}", file=sys.stderr)
-                    rows.append({"spec": spec.token(), "mode": algo, "error": str(exc)})
-                    failed += 1
-        env = {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "nproc": os.cpu_count(),
-            "platform": platform.platform(),
-        }
-        out.truncate(0)
+    _check_writable(args.json)
+    for size in args.grid:
+        spec = _spec(args.family, size, size, args.m or 2 * size, args.q, args.seed)
+        t0 = time.perf_counter()
+        g = spec.build()
+        build_s = time.perf_counter() - t0
+        for algo in args.algos:
+            try:
+                rows.append({**_bench_row(spec, algo, g, args.repeats), "build_s": build_s})
+            except Exception as exc:  # keep going, mark the row failed
+                print(f"warn: {spec.token()} {algo} failed: {exc}", file=sys.stderr)
+                rows.append({"spec": spec.token(), "mode": algo, "error": str(exc)})
+                failed += 1
+    env = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "nproc": os.cpu_count(),
+        "platform": platform.platform(),
+    }
+    with open(args.json, "w", encoding="utf-8") as out:
         _write_json(out, {"env": env, "rows": rows})
     print(f"wrote {len(rows)} rows to {args.json}")
     if failed:

@@ -19,6 +19,7 @@ from .graph import MAX_NODES, Graph, graph_from_arrays, scale_weights
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 
+# The generators of this module that GenSpec.build calls, by name.
 FAMILIES = ("lattice8", "random_gnm", "complete", "path", "cycle")
 
 
@@ -31,12 +32,18 @@ def mix64(x: int) -> int:
 
 
 def splitmix_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Draws offset..offset+count-1 of the stream, vectorized as uint64."""
-    idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK) + idx * np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """Draws offset..offset+count-1 of the stream, vectorized as uint64
+    and mixed in place with one scratch array."""
+    z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK)
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, np.uint64(27), out=t)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
 
 
 @dataclass(frozen=True)
@@ -53,17 +60,11 @@ class GenSpec:
         return f"{self.family};{size};q={q};seed={self.seed}"
 
     def build(self) -> Graph:
-        if self.family == "lattice8":
-            return lattice8(self.size["p"], self.weight_set, self.seed)
-        if self.family == "random_gnm":
-            return random_gnm(self.size["n"], self.size["m"], self.weight_set, self.seed)
-        if self.family == "complete":
-            return complete(self.size["n"], self.weight_set, self.seed)
-        if self.family == "path":
-            return path(self.size["n"], self.weight_set, self.seed)
-        if self.family == "cycle":
-            return cycle(self.size["n"], self.weight_set, self.seed)
-        raise ValueError(f"unknown family {self.family!r}")
+        """The family's generator called with the size as keywords (p, or
+        n and m, or n)."""
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        return globals()[self.family](**self.size, weight_set=self.weight_set, seed=self.seed)
 
 
 def _at_least(name: str, value: int, least: int) -> None:
@@ -80,8 +81,9 @@ def _node_count(n: int) -> None:
 
 def _weights_for(count: int, weight_set: Sequence, seed: int) -> tuple[np.ndarray, int]:
     scaled, scale = scale_weights(list(weight_set))
-    draws = splitmix_stream(seed, count) % np.uint64(len(scaled))
-    return scaled[draws.astype(np.int64)], scale
+    draws = splitmix_stream(seed, count)
+    np.remainder(draws, np.uint64(len(scaled)), out=draws)
+    return scaled.take(draws.view(np.int64)), scale
 
 
 def lattice8(p: int, weight_set: Sequence, seed: int) -> Graph:
@@ -94,55 +96,47 @@ def lattice8(p: int, weight_set: Sequence, seed: int) -> Graph:
     _at_least("lattice side", p, 2)
     if p * p > 2**31:
         raise TooLarge(f"lattice p={p} would overflow node ids")
-    n = p * p
-    ids = np.arange(n, dtype=np.int64)
-    row = ids // p
-    col = ids % p
-    # Candidate targets per node, direction-major within each node.
-    cand = np.full((n, 4), -1, dtype=np.int64)
-    east = col < p - 1
-    south = row < p - 1
-    cand[east, 0] = ids[east] + 1
-    cand[south, 1] = ids[south] + p
-    se = south & east
-    cand[se, 2] = ids[se] + p + 1
-    sw = south & (col > 0)
-    cand[sw, 3] = ids[sw] + p - 1
-    flat = cand.reshape(-1)
-    valid = flat >= 0
-    u = np.repeat(ids, 4)[valid]
-    v = flat[valid]
+    # has[row, col, d]: whether the node has its edge in direction d;
+    # flat index node * 4 + d, in node order and E, S, SE, SW within it.
+    has = np.ones((p, p, 4), dtype=bool)
+    has[-1, :, 1:] = False
+    has[:, -1, [0, 2]] = False
+    has[:, 0, 3] = False
+    idx = np.flatnonzero(has)
+    u = idx >> 2
+    v = np.array([1, p, p + 1, p - 1]).take(np.bitwise_and(idx, 3, out=idx))
+    v += u
     w, scale = _weights_for(u.size, weight_set, seed)
-    return graph_from_arrays(n, u, v, w, scale)
+    return graph_from_arrays(p * p, u, v, w, scale)
 
 
 def random_gnm(n: int, m: int, weight_set: Sequence, seed: int) -> Graph:
-    """Uniform-ish simple graph with exactly m edges, reproducible."""
+    """Uniform-ish simple graph with exactly m edges, reproducible.
+
+    Draw r of the stream names the pair (r % n, (r >> 32) % n); the edges
+    are the first m distinct pairs that are not self loops, in draw
+    order.  Each chunk of draws is at least as long as all the chunks
+    before it, so even m = n(n-1)/2 takes O(log m) chunks."""
     _node_count(n)
     _at_least("m", m, 0)
     limit = n * (n - 1) // 2
     if m > limit:
         raise TooManyEdges(f"m={m} exceeds {limit} for n={n}")
-    pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    i = 0
-    while len(pairs) < m:
-        r = mix64((seed & _MASK) + (i + 1) * _GOLDEN)
-        i += 1
-        u = r % n
-        v = (r >> 32) % n
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            continue
-        seen.add(key)
-        pairs.append(key)
-    u_arr = np.array([p[0] for p in pairs], dtype=np.int64)
-    v_arr = np.array([p[1] for p in pairs], dtype=np.int64)
+    keys = np.empty(0, dtype=np.int64)  # distinct pairs a * n + b, a < b, in draw order
+    drawn = 0
+    while keys.size < m:
+        r = splitmix_stream(seed, max(m + (m >> 4), drawn) + 64, drawn)
+        drawn += r.size
+        a = (r % np.uint64(n)).view(np.int64)
+        b = np.remainder(r >> np.uint64(32), np.uint64(n), out=r).view(np.int64)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        keys = np.concatenate([keys, (lo * n + hi)[lo != hi]])
+        first = np.unique(keys, return_index=True)[1]
+        keys = keys[np.sort(first)]
+    u, v = np.divmod(keys[:m], n)
     # Weight stream is independent of the pair-sampling stream.
     w, scale = _weights_for(m, weight_set, seed ^ 0x5DEECE66D)
-    return graph_from_arrays(n, u_arr, v_arr, w, scale)
+    return graph_from_arrays(n, u, v, w, scale)
 
 
 def complete(n: int, weight_set: Sequence, seed: int) -> Graph:

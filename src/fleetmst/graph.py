@@ -8,8 +8,9 @@ floats are rejected because downstream tie detection relies on exact
 weight equality.
 
 Every graph (from the generators, build_graph or read_graph) is built by
-graph_from_arrays with one sort of its 2m int64 arc keys ``u * n + v``;
-for those keys to fit in int64, n is at most MAX_NODES.
+graph_from_arrays with one sort of its 2m int64 arc keys ``u * n + v``,
+whose sorted copy becomes the leaves in place; for those keys to fit in
+int64, n is at most MAX_NODES.
 """
 
 from __future__ import annotations
@@ -219,10 +220,13 @@ def graph_from_arrays(
     read_graph, and the only self-loop, sign and duplicate check.
 
     After the id, self-loop and weight checks, in that order, n must be
-    at most MAX_NODES.  Each edge gives two arc keys ``u * n + v`` and
-    ``v * n + u``, and one stable argsort of those 2m keys orders the
-    CSR rows.  Equal neighbouring keys are a duplicate edge; the first
-    is the smallest duplicated pair (a, b) with a < b.  When ``lines``
+    at most MAX_NODES.  Edge i gives the arc keys ``u * n + v`` at i and
+    ``v * n + u`` at m + i of one int64 buffer, and one stable argsort
+    of those 2m keys orders the CSR rows.  Equal neighbouring sorted
+    keys are a duplicate edge; the first is the smallest duplicated pair
+    (a, b) with a < b.  Else the sorted keys become the leaves in place
+    (modulo n) and arc j takes edge ``order[j] % m``'s weight, so at
+    most three 2m columns are alive at once.  When ``lines``
     gives each edge's line, an error names the line of the edge it
     reports: the first self loop or non-positive weight, or the second
     copy of that duplicated pair.
@@ -237,9 +241,7 @@ def graph_from_arrays(
     if u.size:
         if u.min(initial=0) < 0 or v.min(initial=0) < 0 or max(u.max(), v.max()) >= n:
             bad = np.nonzero((u < 0) | (v < 0) | (u >= n) | (v >= n))[0][0]
-            raise IdOutOfRange(
-                f"edge ({u[bad]}, {v[bad]}) has an id outside [0, {n})"
-            )
+            raise IdOutOfRange(f"edge ({u[bad]}, {v[bad]}) has an id outside [0, {n})")
         loops = np.nonzero(u == v)[0]
         if loops.size:
             raise SelfLoop(f"self loop at node {int(u[loops[0]])}{at(loops[0])}")
@@ -250,16 +252,20 @@ def graph_from_arrays(
             )
     if n > MAX_NODES:
         raise TooLarge(f"{n} nodes exceed the limit of {MAX_NODES}")
-    key = np.concatenate([u * n + v, v * n + u])
+    m = u.size
+    key = np.empty(2 * m, dtype=np.int64)
+    np.add(np.multiply(u, n, out=key[:m]), v, out=key[:m])
+    np.add(np.multiply(v, n, out=key[m:]), u, out=key[m:])
     order = np.argsort(key, kind="stable")
     key = key[order]
     dup = np.flatnonzero(key[1:] == key[:-1])
     if dup.size:
         a, b = divmod(int(key[dup[0]]), n)
-        copies = np.sort(order[key == key[dup[0]]] % u.size)
+        copies = np.sort(order[key == key[dup[0]]] % m)
         raise DuplicateEdge(f"edge ({a}, {b}) appears more than once{at(copies[1])}")
-    leaves = np.concatenate([v, u])[order]
-    weights = np.concatenate([w_scaled, w_scaled])[order]
+    weights = w_scaled.take(order, mode="wrap")
+    del order  # before the row counts: the peak stays at three 2m columns
+    leaves = np.remainder(key, n, out=key)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(u, minlength=n) + np.bincount(v, minlength=n), out=indptr[1:])
     return Graph(n, indptr, leaves, weights, scale)

@@ -7,6 +7,8 @@ array, cluster ids, cluster count and arcs touched) in every mode.
 ``_components`` is the component labeller that ``fleet.beam_components``
 must agree with.  ``lexsort_graph`` is the two-lexsort graph builder
 that ``graph.graph_from_arrays`` must reproduce, graph and error alike.
+``loop_gnm`` is the one-draw-at-a-time G(n, m) sampler that
+``generators.random_gnm`` must reproduce graph for graph.
 """
 
 from collections import deque
@@ -16,7 +18,7 @@ import numpy as np
 from fleetmst.engine import EdgeColumns, Forest, _check_model, _forest, _forward_arcs
 from fleetmst.errors import DuplicateEdge, IdOutOfRange, NonPositiveWeight, SelfLoop
 from fleetmst.fleet import FleetModel, half_beams
-from fleetmst.generators import lattice8, random_gnm
+from fleetmst.generators import _GOLDEN, _MASK, _weights_for, lattice8, mix64, random_gnm
 from fleetmst.graph import Graph, graph_from_arrays
 
 
@@ -202,6 +204,30 @@ def chain(k):
 def bench_lattices():
     """The eight graphs of the benchmark's seed-7 runs (p=200)."""
     return [lattice8(200, tuple(range(1, q + 1)), s) for q in (10, 2) for s in range(28, 32)]
+
+
+def loop_gnm(n: int, m: int, weight_set, seed: int) -> Graph:
+    """random_gnm as first written: one mix64 draw at a time, skipping
+    self loops and pairs already drawn, until m pairs are found."""
+    pairs: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    i = 0
+    while len(pairs) < m:
+        r = mix64((seed & _MASK) + (i + 1) * _GOLDEN)
+        i += 1
+        u = r % n
+        v = (r >> 32) % n
+        if u == v:
+            continue
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            continue
+        seen.add(key)
+        pairs.append(key)
+    u_arr = np.array([p[0] for p in pairs], dtype=np.int64)
+    v_arr = np.array([p[1] for p in pairs], dtype=np.int64)
+    w, scale = _weights_for(m, weight_set, seed ^ 0x5DEECE66D)
+    return graph_from_arrays(n, u_arr, v_arr, w, scale)
 
 
 def gnm_graphs():

@@ -339,6 +339,25 @@ def test_bench_that_stops_early_keeps_the_old_record(tmp_path, capsys):
     assert [row["mode"] for row in json.loads(out.read_text())["rows"]] == ["kruskal"]
 
 
+@pytest.mark.parametrize("grid", ["10000000000000000000", "99999999999999"])
+def test_bench_that_stops_early_leaves_no_new_file(tmp_path, capsys, grid):
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text('{"old": "record"}\n')
+    for out in (new, old):
+        assert main(["bench", "--family", "path", "--grid", grid, "--json", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not new.exists()
+    assert old.read_text() == '{"old": "record"}\n'
+
+
+def test_build_that_fails_leaves_no_new_outputs(tmp_path, capsys):
+    tpath, spath = tmp_path / "t.txt", tmp_path / "s.json"
+    argv = ["build", str(tmp_path / "no_graph.txt"), "--out", str(tpath), "--stats", str(spath)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not tpath.exists() and not spath.exists()
+
+
 @pytest.mark.parametrize("flag", ["--out", "--stats"])
 def test_build_outputs_are_checked_before_the_graph_is_read(tmp_path, monkeypatch, capsys, flag):
     def no_work(*args):
@@ -386,7 +405,9 @@ def test_bench_json_shape(tmp_path):
         ("p=6", "kruskal"),
     ]
     record = _run_algo(lattice8(4, weight_set=(1, 2, 3), seed=42), "ooag").record()
-    assert all(list(r) == ["spec", *record, "wall_s"] for r in rows)
+    assert all(list(r) == ["spec", *record, "wall_s", "build_s"] for r in rows)
+    # Each row carries the build time of its graph, shared by its algorithms.
+    assert rows[0]["build_s"] == rows[1]["build_s"] > 0
     # ooag and kruskal must report the same spanning weight.
     by_spec = {}
     for row in rows:

@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from oracles import loop_gnm
 
 from fleetmst.errors import TooLarge, TooManyEdges
 from fleetmst.generators import (
@@ -63,6 +66,17 @@ def test_gnm_counts_and_simplicity():
     assert all(0 <= u < v < 20 for u, v, _ in edges)
 
 
+@pytest.mark.parametrize(
+    "n, m, seed",
+    [(0, 0, 0), (1, 0, 3), (2, 1, 5), (4, 6, 0), (5, 3, 2**64 - 1), (12, 66, 3), (20, 50, 1),
+     (50, 1225, 2), (60, 1000, 4), (300, 1200, 7), (3000, 20000, 11)],
+)
+def test_gnm_matches_the_one_draw_loop(n, m, seed):
+    # Includes m = 0 and m = n(n-1)/2, where later chunks must keep each
+    # pair's first draw across chunk boundaries.
+    assert random_gnm(n, m, (1, 2, 3), seed) == loop_gnm(n, m, (1, 2, 3), seed)
+
+
 def test_gnm_rejects_impossible_m():
     with pytest.raises(TooManyEdges):
         random_gnm(4, 7, (1,), seed=0)
@@ -101,3 +115,31 @@ def test_genspec_token_and_build():
     assert gnm.build().m == 7
     with pytest.raises(ValueError):
         GenSpec("hypercube", {"n": 4}).build()
+
+
+
+# sha256 of (indptr, leaves, weights, scale), recorded before the build
+# and the generators were last rewritten: a change to either that moves
+# one arc or weight of any family fails here.
+Q10 = tuple(range(1, 11))
+PINNED_GRAPHS = [
+    (GenSpec("lattice8", {"p": 30}, Q10, 7), "62436b6dffa3cf1f5b40aeb21d9df289326108d3b1f7285abb46931b4c4267e1"),
+    (GenSpec("lattice8", {"p": 30}, (1, 2), 7), "a3f834bd73e3674004c30a465aee776f93d32af14a2665b72d0813ee21de61c1"),
+    (GenSpec("random_gnm", {"n": 300, "m": 1200}, Q10, 7), "7436eaf03ed1243e78f2d1d88b6d89f53c35b0f31a93c132be2875ecc77c89ac"),
+    (GenSpec("random_gnm", {"n": 12, "m": 66}, (1, 2), 3), "78b6f090f4d09bd9c8bf1ca9ea33eca8b53e018b8ac26b20d58c66f23df32740"),
+    (GenSpec("complete", {"n": 25}, Q10, 7), "05e88ad6a58a6ba203c4746cecf5797bbcd83827d72029f9dd2a23f19c36f8d2"),
+    (GenSpec("path", {"n": 60}, Q10, 7), "f6809428b17662f3b4b904d783d9be5bcaa5ee6cc82e19135523d04545473fd8"),
+    (GenSpec("cycle", {"n": 60}, (1, 2), 7), "5bbff101980dda9a5bf85278ff7f47830d78e96bd66bf8092f33245caa1aaa58"),
+    (GenSpec("lattice8", {"p": 9}, ("0.5", "1.25", "3"), 7), "1c42d233c2e368df594361552a53f321921d7d45db22f39788e4c0b552060c6b"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", PINNED_GRAPHS, ids=[s.token() for s, _ in PINNED_GRAPHS])
+def test_generated_graphs_are_pinned(spec, digest):
+    g = spec.build()
+    h = hashlib.sha256()
+    for a in (g.indptr, g.leaves, g.weights):
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    h.update(str(g.scale).encode())
+    assert h.hexdigest() == digest
