@@ -22,22 +22,23 @@ level with a small frontier is expanded in Python (``_small_level``),
 so a deep cluster costs little per level, and a larger one claims by
 one max-scatter of stamps that fall in arc order, an arc that leaves
 its cluster stamped -1, with no compaction.
-``mode="boruvka"`` skips the node stage (every node its own cluster),
-as a reference line.  The cluster stage then merges clusters
-Boruvka-style, and every round numbers its clusters 0..k-1.  A round
-lists every edge that crosses two clusters once, as its stored arc
-(a, b) with a < b, in arc order, which is (a, b) order.  A listed edge
-is three values: an int64 rank key ``rank(w) * 2m + arc``, whose order
-is (weight, a, b), so nothing is sorted, and whose ``key % 2m`` names
-the arc; and the cluster ids of its two ends, uint32 (k <= n <=
-MAX_NODES < 2**32).  Each round every cluster with a crossing edge
-hooks onto the one with the least key, reads that edge's ends off the
-graph, and one renumbering table flattens the hooks into the next
-round's ids 0..k'-1.  With melioration on, the list contracts: the
-first round builds it from all 2m arcs, and each later round drops for
-good the keys of edges now inside a cluster, which only shrinks what
-later rounds examine and never changes a choice.  With it off, every
-round rebuilds the list from all 2m arcs.
+``mode="boruvka"`` skips the node stage (every node its own cluster), as
+a reference line.  The cluster stage then merges clusters Boruvka-style,
+and every round numbers its clusters 0..k-1.  A round lists every edge
+that crosses two clusters once, as its stored arc (a, b) with a < b, in
+arc order, which is (a, b) order.  A listed edge is three values: an
+int64 rank key ``rank(w) * 2m + arc``, whose order is (weight, a, b), so
+nothing is sorted, and whose ``key % 2m`` names the arc; and the cluster
+ids of its two ends, intp, numpy's index type, so the rounds index
+through them with no cast.  Each round every cluster with a crossing
+edge hooks onto the one with the least key, reads that edge's ends off
+the graph, and one renumbering table flattens the hooks into the next
+round's ids 0..k'-1.  With melioration on, the list contracts: the first
+round builds it from all 2m arcs, and each later round drops for good
+the keys of edges now inside a cluster, which only shrinks what later
+rounds examine and never changes a choice.  With it off, every round
+rebuilds the list from all 2m arcs.  Compactions gather by index, by the
+rule in ``fleet``'s docstring.
 
 Picked edges stay arrays, in the result too.  Every node-stage pick has
 the form "node z joins through p with weight mvc[z]", so the node stage
@@ -187,7 +188,7 @@ class Forest:
         self.per_round: list[RoundStats] = []
         # Merge-stage edge list, three columns: int64 rank keys in
         # (w, a, b) order (key % 2m is the arc (a, b)) and the cluster
-        # ids of each key's ends a and b, uint32.
+        # ids of each key's ends a and b, intp.
         self.edge_key: Optional[np.ndarray] = None
         self.label_a: Optional[np.ndarray] = None
         self.label_b: Optional[np.ndarray] = None
@@ -271,8 +272,8 @@ def _settle(m: np.ndarray, src: np.ndarray, dst: np.ndarray) -> bool:
     earlier round's settled labels plus its added seeds."""
     for _ in range(MAX_LABEL_PASSES):
         val = m[dst]
-        lower = val < m[src]
-        if not lower.any():
+        lower = np.flatnonzero(val < m[src])
+        if not lower.size:
             return True
         np.minimum.at(m, src[lower], val[lower])
     return False
@@ -326,7 +327,7 @@ def _founders(
     odd, labels = np.zeros(nominators.size, dtype=bool), np.full(n, n)  # the last odd round
     for r in range(MAX_FOUNDER_ROUNDS):
         m = labels if r % 2 else labels.copy()
-        add = fresh & ~odd
+        add = np.flatnonzero(fresh & ~odd)
         np.minimum.at(m, nominee[add], nominators[add])
         if not _settle(m, *down):
             break
@@ -334,7 +335,7 @@ def _founders(
             odd = fresh
         now = m[home] >= nominators
         if np.array_equal(now, fresh):
-            return nominators[fresh], m
+            return nominators[np.flatnonzero(fresh)], m
         fresh = now
     m, took = _claim_upstream(n, *down, nominee, home, nominators)
     return nominators[took], m
@@ -385,7 +386,7 @@ def _reap_parents(
         dst = fwd[(ptr[frontier] - (d.cumsum() - d)).repeat(d) + pos]
         stamp = np.where(cl[dst] == cl[src], src.size - pos, -1)
         np.maximum.at(claim, dst, stamp)
-        won = claim[dst] == stamp
+        won = np.flatnonzero(claim[dst] == stamp)
         frontier = dst[won]
         parent[frontier] = src[won]
         claim[frontier] = _CLAIMED
@@ -420,8 +421,7 @@ def array_stage(g: Graph, f: FleetModel, mode: str, kernel_of: Optional[np.ndarr
     iso = f.isolated
     comp = beam_components(f)
     down = (comp[f.rev_children], comp[np.repeat(ids, np.diff(f.rev_indptr))])
-    live = np.flatnonzero(~iso)
-    climb = live[f.mvc_scaled[f.target[live]] != f.mvc_scaled[live]]
+    climb = np.flatnonzero(~iso & (f.mvc_scaled[f.target] != f.mvc_scaled))  # isolated: target -1
     top = ids.copy()
     top[climb] = f.target[climb]
     chain = np.zeros(n, dtype=np.int64)
@@ -438,7 +438,7 @@ def array_stage(g: Graph, f: FleetModel, mode: str, kernel_of: Optional[np.ndarr
     a = top[founders]
     b = f.target[a]
     parent[a] = b
-    del ids, comp, down, live, climb, top, chain, reps, m, order  # dead: the reap is the stage's peak
+    del ids, comp, down, climb, top, chain, reps, m, order  # dead: the reap is the stage's peak
     _reap_parents(*_forward_arcs(f), cl, np.stack((a, b), axis=1).ravel(), parent)
     return _forest(g, f, cl, parent, k, touches)
 
@@ -464,7 +464,7 @@ def _kernel_phase(f: FleetModel, kernel_of: np.ndarray, cl: np.ndarray, parent: 
     if not _settle(m, *down):
         seeds = members[np.argsort(kernel_of[members], kind="stable")]
         m = _claim_upstream(n, *down, seeds, seeds, kernel_of[seeds])[0]
-    claimed = m < n
+    claimed = np.flatnonzero(m < n)
     cl[claimed] = m[claimed]
     _reap_parents(f.beam_indptr, f.beam_leaves, cl, roots, parent)
     _reap_parents(f.rev_indptr, f.rev_children, cl, members, parent)
@@ -505,7 +505,7 @@ def _beam_loop(f: FleetModel, cl: np.ndarray, parent: np.ndarray, k: int) -> tup
     home = home[nominated]
     del fa, fb, loose, both, ea, eb, lab, beam, first  # dead: the reap is the stage's peak
     r, l = f.rev_children, np.repeat(np.arange(n), np.diff(f.rev_indptr))
-    up = free[r]
+    up = np.flatnonzero(free[r])
     claimers, m = _founders(n, np.arange(home.size), home, home, (comp[r[up]], comp[l[up]]))
 
     a, b = a[nominated[claimers]], b[nominated[claimers]]
@@ -518,7 +518,7 @@ def _beam_loop(f: FleetModel, cl: np.ndarray, parent: np.ndarray, k: int) -> tup
     claim = np.where(free, m[comp], n)
     ptr, fwd = _forward_arcs(f)
     _reap_parents(ptr, fwd, claim, seeds[free[seeds]], parent)
-    mine = claim < n
+    mine = np.flatnonzero(claim < n)
     cl[mine] = cid[claim[mine]]
     return k + int(found.sum()), int(np.diff(ptr)[mine].sum())
 
@@ -539,7 +539,7 @@ def inheritance_stage(g: Graph, f: FleetModel) -> Forest:
 # ---------------------------------------------------------------------------
 
 _NO_KEY = np.iinfo(np.int64).max  # above every rank key
-assert MAX_NODES < 2**32  # cluster ids fit the uint32 labels
+assert MAX_NODES < 2**32  # cluster ids fit the list build's uint32 gathers
 
 
 def _build_edge_list(g: Graph, forest: Forest) -> None:
@@ -550,16 +550,16 @@ def _build_edge_list(g: Graph, forest: Forest) -> None:
     not fit in int64, dense weight ranks stand in for w - wmin; those
     keep every key below distinct weights * 2m, and a graph where even
     that overflows int64 is TooLarge rather than given wrapped keys.
-    Each key's ends get their cluster ids as uint32: ids stay below
-    n <= MAX_NODES < 2**32, and the 2m-wide gathers, the largest arrays
-    of the merge stage, are cheaper to fill half as wide."""
+    The 2m-wide gathers of cluster ids, the largest arrays of the merge
+    stage, are uint32 (ids stay below n <= MAX_NODES < 2**32), cheaper
+    to fill half as wide; the kept ends widen to intp."""
     src = g.arc_sources()
     arcs = g.arc_count
     cl = forest.cluster_of.astype(np.uint32)
     ca, cb = cl[src], cl[g.leaves]
-    keep = np.flatnonzero((src < g.leaves) & (ca != cb))  # index gathers beat mask gathers here
-    forest.label_a, forest.label_b = ca[keep], cb[keep]
-    del ca, cb  # the key column can reuse their memory
+    keep = np.flatnonzero((src < g.leaves) & (ca != cb))
+    ca = ca[keep].astype(np.intp)  # frees the 2m-wide column before the second is gathered
+    forest.label_a, forest.label_b = ca, cb[keep].astype(np.intp)
     key = g.weights[keep]
     lo, hi = (int(key.min()), int(key.max())) if key.size else (0, 0)
     if (hi - lo + 1) * arcs <= _NO_KEY:
@@ -601,41 +601,36 @@ def merge_round(g: Graph, forest: Forest) -> Forest:
     forest.comparisons += scanned
 
     k, key = forest.cluster_count, forest.edge_key
-    la, lb = forest.label_a, forest.label_b
     # Least crossing key per cluster; _NO_KEY marks none.
     best = np.full(k, _NO_KEY, dtype=np.int64)
-    np.minimum.at(best, la, key)
-    np.minimum.at(best, lb, key)
+    np.minimum.at(best, forest.label_a, key)
+    np.minimum.at(best, forest.label_b, key)
     ids = np.arange(k)
-    hooked = best < _NO_KEY
-    if not hooked.any():
+    hooked = np.flatnonzero(best < _NO_KEY)
+    if not hooked.size:
         forest.done = ids
         return forest
     arc = best % arcs  # the chosen edge's arc (a, b)
     parent = ids.copy()
-    h = arc[hooked]
-    ea = forest.cluster_of[g.arc_sources()[h]]
-    eb = forest.cluster_of[g.leaves[h]]
-    parent[hooked] = np.where(ea == ids[hooked], eb, ea)
-    mutual = (parent[parent] == ids) & (ids < parent)
-    parent[mutual] = ids[mutual]
-    forest.merged.append(arc[parent != ids])
+    h = arc[hooked]  # one end of each is the hooking cluster, so the other is their sum less it
+    parent[hooked] = forest.cluster_of[g.arc_sources()[h]] + forest.cluster_of[g.leaves[h]] - hooked
+    mutual = np.flatnonzero((parent[parent] == ids) & (ids < parent))
+    parent[mutual] = mutual
+    forest.merged.append(arc[np.flatnonzero(parent != ids)])
     parent = _jump(parent)
 
-    roots = np.flatnonzero(parent == ids)
-    fresh = np.empty(k, dtype=la.dtype)
-    fresh[roots] = np.arange(roots.size)
-    fresh = fresh[parent]  # each cluster's id in the next round
-    forest.cluster_of = fresh.astype(np.int64)[forest.cluster_of]
-    forest.label_a, forest.label_b = fresh[la], fresh[lb]
-    forest.done = fresh[~hooked]
-    forest.cluster_count = roots.size
+    fresh = (np.cumsum(parent == ids) - 1)[parent]  # each cluster's id in the next round, roots in order
+    forest.cluster_of = fresh[forest.cluster_of]
+    for labels in (forest.label_a, forest.label_b):  # in place; "raise" mode would buffer a copy
+        fresh.take(labels, out=labels, mode="clip")
+    forest.done = fresh[best == _NO_KEY]
+    forest.cluster_count = int(fresh.max()) + 1
 
     forest.rounds += 1
     forest.per_round.append(
         RoundStats(
             clusters_before=k,
-            clusters_after=roots.size,
+            clusters_after=forest.cluster_count,
             arcs_scanned=scanned,
             elapsed=time.perf_counter() - t0,
         )

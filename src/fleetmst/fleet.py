@@ -18,6 +18,10 @@ too, once per model, for the beam components and the beam loop.
 Components are labelled in one place: ``_hook`` (hooking and pointer
 jumping, no round budget) gives the beam components the node stage and
 kernel detection start from.
+
+Compactions gather by index: a mask with scattered true entries becomes
+its indices once (``np.flatnonzero``), which numpy gathers through 3-5x
+faster; one that is a run or nearly all true (``~iso``) stays a mask.
 """
 
 from __future__ import annotations
@@ -61,9 +65,9 @@ class FleetModel:
         root, leaf = src[at_min], leaves[at_min]
         first = np.ones(at_min.size, dtype=bool)
         first[1:] = root[1:] != root[:-1]
-        target[rows] = leaf[first]
+        target[rows] = leaf[np.flatnonzero(first)]
         is_beam = w[at_min] == mvc[leaf]
-        half = np.flatnonzero(is_beam & (root < leaf))  # index gathers beat mask gathers here
+        half = np.flatnonzero(is_beam & (root < leaf))
         self._half_beams = (root[half], leaf[half])
         for ends in self._half_beams:
             ends.flags.writeable = False  # shared by every half_beams caller
@@ -188,8 +192,8 @@ def _hook(lab: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     while True:
         lab = _jump(lab)
         la, lb = lab[a], lab[b]
-        cross = la != lb
-        if not cross.any():
+        cross = np.flatnonzero(la != lb)
+        if not cross.size:
             return lab
         a, b, la, lb = a[cross], b[cross], la[cross], lb[cross]
         np.minimum.at(lab, np.maximum(la, lb), np.minimum(la, lb))

@@ -34,7 +34,7 @@ class KernelReport:
     @property
     def sizes(self) -> np.ndarray:
         """The number of members of each kernel."""
-        return np.bincount(self.kernel_of[self.kernel_of >= 0], minlength=self.k)
+        return np.bincount(self.kernel_of + 1, minlength=self.k + 1)[1:]
 
     @cached_property
     def kernels(self) -> list[tuple[int, ...]]:
@@ -54,12 +54,13 @@ def detect_kernels(f: FleetModel, strict: bool = False) -> KernelReport:
     member = np.diff(f.beam_indptr) > 0
     bad = f.has_towboat | f.has_boat if strict else f.has_towboat
     spoilt = np.zeros(n, dtype=bool)
-    spoilt[lab[bad & member]] = True
-    ok = member & ~spoilt[lab]
-    roots = np.flatnonzero(ok & (lab == np.arange(n)))
+    spoilt[lab[np.flatnonzero(bad & member)]] = True
+    ok = np.flatnonzero(member & ~spoilt[lab])
+    home = lab[ok]
+    roots = ok[home == ok]
     kernel_of = np.full(n, -1)
     kernel_of[roots] = np.arange(roots.size)
-    kernel_of[ok] = kernel_of[lab[ok]]
+    kernel_of[ok] = kernel_of[home]
     return KernelReport(kernel_of, k=roots.size, arc_touches=f.beam_leaves.size, strict=strict)
 
 

@@ -201,6 +201,22 @@ def chain(k):
     return graph_from_arrays(4 * k, u, x, wt, 1)
 
 
+def deep_inputs():
+    """Inputs that run the array stage's loops long: one 5,000-node
+    cluster (BFS levels), a 4,999-arc subjection chain (label passes),
+    founders that each decide the next (founder rounds under ``ooag``),
+    and equal and increasing paths laid through 2^14 nodes in a random
+    order of ids."""
+    n = 2**14
+    return [
+        ("equal_path", equal_path(5000)),
+        ("increasing_path", increasing_path(5000)),
+        ("chain", chain(2000)),
+        ("random_id_equal_path", random_id_path(n, np.ones(n - 1, dtype=np.int64), seed=1)),
+        ("random_id_increasing_path", random_id_path(n, np.arange(1, n), seed=2)),
+    ]
+
+
 def bench_lattices():
     """The eight graphs of the benchmark's seed-7 runs (p=200)."""
     return [lattice8(200, tuple(range(1, q + 1)), s) for q in (10, 2) for s in range(28, 32)]

@@ -9,15 +9,7 @@ from fleetmst.fleet import build_fleet
 from fleetmst.generators import lattice8
 from fleetmst.graph import graph_from_arrays
 from fleetmst.kernels import detect_kernels, koag_seed
-from oracles import (
-    bench_lattices,
-    chain,
-    equal_path,
-    gnm_graphs,
-    increasing_path,
-    random_id_path,
-    sequential_stage,
-)
+from oracles import bench_lattices, deep_inputs, gnm_graphs, sequential_stage
 
 STAGE_MODES = ("ooag", "oag_then_merge", "koag_seeded")
 
@@ -62,22 +54,6 @@ def test_array_stage_matches_the_sequential_stage_on_the_bench_lattices(mode):
 def test_array_stage_matches_the_sequential_stage_on_random_graphs(mode):
     for g in gnm_graphs():
         assert_same_forest(g, mode)
-
-
-def deep_inputs():
-    """Inputs that run the array stage's loops long: one 5,000-node
-    cluster (BFS levels), a 4,999-arc subjection chain (label passes),
-    founders that each decide the next (founder rounds under ``ooag``),
-    and equal and increasing paths laid through 2^14 nodes in a random
-    order of ids."""
-    n = 2**14
-    return [
-        ("equal_path", equal_path(5000)),
-        ("increasing_path", increasing_path(5000)),
-        ("chain", chain(2000)),
-        ("random_id_equal_path", random_id_path(n, np.ones(n - 1, dtype=np.int64), seed=1)),
-        ("random_id_increasing_path", random_id_path(n, np.arange(1, n), seed=2)),
-    ]
 
 
 @pytest.mark.parametrize("mode", STAGE_MODES)

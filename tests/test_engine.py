@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from fleetmst.fleet import build_fleet
 from fleetmst.generators import lattice8, random_gnm
 from fleetmst.graph import Graph, build_graph, decimal_places, format_weight, graph_from_arrays
 from fleetmst.kernels import detect_kernels, koag_seed
-from oracles import bench_lattices, columns_of, sequential_stage
+from oracles import bench_lattices, columns_of, deep_inputs, gnm_graphs, sequential_stage
 
 TWO_TRIANGLES = build_graph(
     6,
@@ -498,3 +499,35 @@ def test_ooag_merge_stage_is_pinned_on_the_bench_lattices():
             res = run(g, mode=mode, melioration=melioration)
             stats = tuple((s.clusters_before, s.clusters_after, s.arcs_scanned) for s in res.per_round)
             assert (res.rounds, res.comparisons, stats) == want, (mode, melioration)
+
+
+def results_digest(graphs, mode, melioration) -> str:
+    """sha256 over each run's edge columns, repr(total), k and arcs
+    touched by the node stage, first 16 hex digits."""
+    h = hashlib.sha256()
+    for g in graphs:
+        res = run(g, mode=mode, melioration=melioration)
+        for col in (res.edges.u, res.edges.v, res.edges.w):
+            h.update(col.astype("<i8").tobytes())
+        h.update(repr((res.total, res.k_after_node_stage, res.node_arc_touches)).encode())
+    return h.hexdigest()[:16]
+
+
+# results_digest per mode on bench_lattices(), gnm_graphs() and
+# deep_inputs(); melioration on and off give the same digest.
+RESULT_DIGESTS = {
+    "ooag": ("b94c26b4170764f8", "bd9cb043cfd10243", "6e9e366b448e691a"),
+    "oag_then_merge": ("9dfd0e0b5e106d9f", "040705fb4f146ea3", "abf41985a4301053"),
+    "koag_seeded": ("e0105e38b6d71177", "fdffc0f1a0ae30d9", "0728a243d5b434f6"),
+    "boruvka": ("76323f078bad892e", "8f36ce78eb19ab51", "b7a564e7be64ef58"),
+}
+
+
+@pytest.mark.parametrize("mode", list(RESULT_DIGESTS))
+@pytest.mark.parametrize("melioration", (True, False))
+def test_results_are_pinned(mode, melioration):
+    """Each mode picks the same edges, total, k and node-stage arc count
+    as when pinned, so a change that picks another tree fails here."""
+    families = (bench_lattices(), gnm_graphs(), [g for _, g in deep_inputs()])
+    got = tuple(results_digest(graphs, mode, melioration) for graphs in families)
+    assert got == RESULT_DIGESTS[mode]
